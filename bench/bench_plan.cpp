@@ -1,7 +1,7 @@
 // Execution-planner A/B bench: what does the cost-model plan actually buy?
 //
 // Two claims are measured per evaluation network and written to
-// BENCH_plan_fusion.json (baseline committed under bench/baselines/):
+// BENCH_plan.json (baseline committed under bench/baselines/):
 //
 //  * iteration time — full fwd+bwd wall clock, planned vs plain, at 1 and
 //    8 threads. Runs are interleaved (plain, planned, plain, ...) and the
@@ -15,8 +15,8 @@
 //    header (buildinfo::WriteMetaJson) for compare_bench.py to diff.
 //
 // Gate against the committed baseline with:
-//   tools/compare_bench.py bench/baselines/BENCH_plan_fusion.json \
-//       BENCH_plan_fusion.json
+//   tools/compare_bench.py bench/baselines/BENCH_plan.json \
+//       BENCH_plan.json
 #include <algorithm>
 #include <chrono>
 #include <iomanip>
@@ -139,7 +139,7 @@ void BenchModel(const std::string& name, const proto::NetParameter& param,
 }  // namespace
 
 int main() {
-  std::cout << "=== Cost-model execution planner: fusion + arena A/B ===\n\n";
+  std::cout << "=== Cost-model execution planner: planned vs plain A/B ===\n\n";
 
   models::ModelOptions mnist_opts;
   mnist_opts.batch_size = 64;
@@ -153,6 +153,6 @@ int main() {
   cifar_opts.with_accuracy = false;
   BenchModel("cifar10_quick", models::Cifar10Quick(cifar_opts), /*iters=*/3);
 
-  bench::BenchReport::Get().Write("plan_fusion");
+  bench::BenchReport::Get().Write("plan");
   return 0;
 }

@@ -5,11 +5,13 @@
 //
 // This example defines a "Swish" activation (x * sigmoid(beta x)) the way a
 // researcher would:
-//  1. SerialSwishLayer implements only the serial loops (Algorithms 2/3).
-//     The framework's default falls back to serial code inside an otherwise
-//     parallel net — everything still works, other layers still scale.
-//  2. SwishLayer adds the coarse-grain path: ONE coalesced omp-for per pass
-//     (Algorithm 4), no data-layout redesign, no kernel writing.
+//  1. SerialSwishLayer writes plain loops (Algorithms 2/3). Inside an
+//     otherwise parallel net it simply runs on the calling thread —
+//     everything still works, other layers still scale.
+//  2. SwishLayer runs the same loops through parallel::For over the whole
+//     coalesced element space (Algorithm 4): no data-layout redesign, no
+//     kernel writing, no second code path — at one thread it is the
+//     serial loop.
 // The example trains a net with each variant and cross-checks the losses.
 #include <cmath>
 #include <iostream>
@@ -18,6 +20,7 @@
 #include "cgdnn/layers/layer.hpp"
 #include "cgdnn/net/models.hpp"
 #include "cgdnn/parallel/context.hpp"
+#include "cgdnn/parallel/for.hpp"
 #include "cgdnn/solvers/solver.hpp"
 
 namespace {
@@ -63,8 +66,8 @@ class SerialSwishLayer : public Layer<Dtype> {
   }
 };
 
-/// The "parallelized by one pragma" version: identical math, and the
-/// coarse-grain override is literally the serial loop with an omp-for.
+/// The parallelized version: identical math, each loop handed to
+/// parallel::For as a chunk body over the whole element space.
 template <typename Dtype>
 class SwishLayer : public SerialSwishLayer<Dtype> {
  public:
@@ -72,31 +75,35 @@ class SwishLayer : public SerialSwishLayer<Dtype> {
   const char* type() const override { return "Swish"; }
 
  protected:
-  void Forward_cpu_parallel(const std::vector<Blob<Dtype>*>& bottom,
-                            const std::vector<Blob<Dtype>*>& top) override {
+  void Forward_cpu(const std::vector<Blob<Dtype>*>& bottom,
+                   const std::vector<Blob<Dtype>*>& top) override {
     const Dtype* x = bottom[0]->cpu_data();
     Dtype* y = top[0]->mutable_cpu_data();
-    const index_t count = bottom[0]->count();
-#pragma omp parallel for num_threads(parallel::Parallel::ResolveThreads()) \
-    schedule(static)
-    for (index_t i = 0; i < count; ++i) {
-      y[i] = x[i] * this->Sigmoid(x[i]);
-    }
+    parallel::For<Dtype>(this->layer_param_.name + ".forward",
+                         {bottom[0]->count()},
+                         [&](const parallel::Chunk<Dtype>& c) {
+                           for (index_t i = c.begin; i < c.end; ++i) {
+                             y[i] = x[i] * this->Sigmoid(x[i]);
+                           }
+                           c.RecordWrite(y, "top.data", c.begin, c.end);
+                         });
   }
-  void Backward_cpu_parallel(const std::vector<Blob<Dtype>*>& top,
-                             const std::vector<bool>& propagate_down,
-                             const std::vector<Blob<Dtype>*>& bottom) override {
+  void Backward_cpu(const std::vector<Blob<Dtype>*>& top,
+                    const std::vector<bool>& propagate_down,
+                    const std::vector<Blob<Dtype>*>& bottom) override {
     if (!propagate_down[0]) return;
     const Dtype* x = bottom[0]->cpu_data();
     const Dtype* dy = top[0]->cpu_diff();
     Dtype* dx = bottom[0]->mutable_cpu_diff();
-    const index_t count = bottom[0]->count();
-#pragma omp parallel for num_threads(parallel::Parallel::ResolveThreads()) \
-    schedule(static)
-    for (index_t i = 0; i < count; ++i) {
-      const Dtype s = this->Sigmoid(x[i]);
-      dx[i] = dy[i] * (s + x[i] * s * (Dtype(1) - s));
-    }
+    parallel::For<Dtype>(this->layer_param_.name + ".backward",
+                         {bottom[0]->count()},
+                         [&](const parallel::Chunk<Dtype>& c) {
+                           for (index_t i = c.begin; i < c.end; ++i) {
+                             const Dtype s = this->Sigmoid(x[i]);
+                             dx[i] = dy[i] * (s + x[i] * s * (Dtype(1) - s));
+                           }
+                           c.RecordWrite(dx, "bottom.diff", c.begin, c.end);
+                         });
   }
 };
 
@@ -145,7 +152,7 @@ int main() {
   std::cout << "serial-only custom layer inside a 4-thread net, final loss: "
             << serial_only << "\n";
   const float parallel_ver = TrainWithActivation("Swish", 4);
-  std::cout << "one-pragma parallel custom layer,      final loss: "
+  std::cout << "parallel::For custom layer,            final loss: "
             << parallel_ver << "\n";
   const float reference = TrainWithActivation("Swish", 1);
   std::cout << "serial reference,                      final loss: "

@@ -33,6 +33,8 @@ void gemm(Transpose trans_a, Transpose trans_b, index_t m, index_t n,
   const int threads = EffectiveThreads();
   // Rows of C are independent, so a static parallel-for over i gives the
   // same floating-point result as the serial inner-product evaluation.
+  // BLAS-level parallelism is this file's subject, not a layer loop:
+  // cgdnn-lint: allow(region-owner)
 #pragma omp parallel for num_threads(threads) schedule(static)
   for (index_t i = 0; i < m; ++i) {
     Dtype* ci = c + i * n;
@@ -51,6 +53,7 @@ void gemm(Transpose trans_a, Transpose trans_b, index_t m, index_t n,
 template <typename Dtype>
 void axpy(index_t n, Dtype alpha, const Dtype* x, Dtype* y) {
   const int threads = EffectiveThreads();
+  // cgdnn-lint: allow(region-owner)
 #pragma omp parallel for num_threads(threads) schedule(static)
   for (index_t i = 0; i < n; ++i) y[i] += alpha * x[i];
 }

@@ -1,11 +1,8 @@
 #include "cgdnn/layers/batch_norm_layer.hpp"
 
-#include <omp.h>
-
 #include <cmath>
 
-#include "cgdnn/parallel/coalesce.hpp"
-#include "cgdnn/parallel/instrument.hpp"
+#include "cgdnn/parallel/for.hpp"
 
 namespace cgdnn {
 
@@ -114,42 +111,21 @@ void BatchNormLayer<Dtype>::Forward_cpu(const std::vector<Blob<Dtype>*>& bottom,
                                         const std::vector<Blob<Dtype>*>& top) {
   const Dtype* x = bottom[0]->cpu_data();
   Dtype* y = top[0]->mutable_cpu_data();
-  ForwardChannels(x, y, mean_.mutable_cpu_data(), inv_std_.mutable_cpu_data(),
-                  0, channels_);
-  if (!use_global_stats_) UpdateRunningStats();
-}
-
-template <typename Dtype>
-void BatchNormLayer<Dtype>::Forward_cpu_parallel(
-    const std::vector<Blob<Dtype>*>& bottom,
-    const std::vector<Blob<Dtype>*>& top) {
-  const Dtype* x = bottom[0]->cpu_data();
-  Dtype* y = top[0]->mutable_cpu_data();
-  Dtype* mean = mean_.mutable_cpu_data();      // resolved before the region
+  Dtype* mean = mean_.mutable_cpu_data();
   Dtype* inv_std = inv_std_.mutable_cpu_data();
-  const int nthreads = parallel::Parallel::ResolveThreads();
-  parallel::RegionStats rstats(this->layer_param_.name + ".forward",
-                               nthreads);
-  check::WriteSetChecker* chk = rstats.checker();
-#pragma omp parallel num_threads(nthreads)
-  {
-    const int tid = omp_get_thread_num();
-    parallel::ThreadRegionScope rscope(rstats, tid);
-    const auto range =
-        parallel::StaticChunk(channels_, omp_get_num_threads(), tid);
-    ForwardChannels(x, y, mean, inv_std, range.begin, range.end);
-    if (chk != nullptr && range.size() > 0) {
-      chk->RecordWrite(tid, mean, "mean", range.begin, range.end);
-      chk->RecordWrite(tid, inv_std, "inv_std", range.begin, range.end);
-      // The channel partition's writes to y are strided: one slab per
-      // sample covering this thread's channel chunk.
-      for (index_t n = 0; n < num_; ++n) {
-        chk->RecordWrite(tid, y, "top.data",
-                         (n * channels_ + range.begin) * spatial_,
-                         (n * channels_ + range.end) * spatial_);
-      }
-    }
-  }
+  parallel::For<Dtype>(
+      this->layer_param_.name + ".forward", {channels_},
+      [&](const parallel::Chunk<Dtype>& c) {
+        ForwardChannels(x, y, mean, inv_std, c.begin, c.end);
+        c.RecordWrite(mean, "mean", c.begin, c.end);
+        c.RecordWrite(inv_std, "inv_std", c.begin, c.end);
+        // The channel partition's writes to y are strided: one slab per
+        // sample covering this chunk's channels.
+        for (index_t n = 0; n < num_; ++n) {
+          c.RecordWrite(y, "top.data", (n * channels_ + c.begin) * spatial_,
+                        (n * channels_ + c.end) * spatial_);
+        }
+      });
   if (!use_global_stats_) UpdateRunningStats();
 }
 
@@ -202,40 +178,19 @@ void BatchNormLayer<Dtype>::Backward_cpu(
   if (!propagate_down[0]) return;
   CGDNN_CHECK(bottom[0] != top[0])
       << "BatchNorm backward needs the original input: run out-of-place";
-  BackwardChannels(bottom[0]->cpu_data(), top[0]->cpu_diff(),
-                   bottom[0]->mutable_cpu_diff(), 0, channels_);
-}
-
-template <typename Dtype>
-void BatchNormLayer<Dtype>::Backward_cpu_parallel(
-    const std::vector<Blob<Dtype>*>& top,
-    const std::vector<bool>& propagate_down,
-    const std::vector<Blob<Dtype>*>& bottom) {
-  if (!propagate_down[0]) return;
-  CGDNN_CHECK(bottom[0] != top[0])
-      << "BatchNorm backward needs the original input: run out-of-place";
   const Dtype* x = bottom[0]->cpu_data();
   const Dtype* dy = top[0]->cpu_diff();
   Dtype* dx = bottom[0]->mutable_cpu_diff();
-  const int nthreads = parallel::Parallel::ResolveThreads();
-  parallel::RegionStats rstats(this->layer_param_.name + ".backward",
-                               nthreads);
-  check::WriteSetChecker* chk = rstats.checker();
-#pragma omp parallel num_threads(nthreads)
-  {
-    const int tid = omp_get_thread_num();
-    parallel::ThreadRegionScope rscope(rstats, tid);
-    const auto range =
-        parallel::StaticChunk(channels_, omp_get_num_threads(), tid);
-    BackwardChannels(x, dy, dx, range.begin, range.end);
-    if (chk != nullptr && range.size() > 0) {
-      for (index_t n = 0; n < num_; ++n) {
-        chk->RecordWrite(tid, dx, "bottom.diff",
-                         (n * channels_ + range.begin) * spatial_,
-                         (n * channels_ + range.end) * spatial_);
-      }
-    }
-  }
+  parallel::For<Dtype>(
+      this->layer_param_.name + ".backward", {channels_},
+      [&](const parallel::Chunk<Dtype>& c) {
+        BackwardChannels(x, dy, dx, c.begin, c.end);
+        for (index_t n = 0; n < num_; ++n) {
+          c.RecordWrite(dx, "bottom.diff",
+                        (n * channels_ + c.begin) * spatial_,
+                        (n * channels_ + c.end) * spatial_);
+        }
+      });
 }
 
 template class BatchNormLayer<float>;

@@ -38,11 +38,6 @@ class BatchNormLayer : public Layer<Dtype> {
   void Backward_cpu(const std::vector<Blob<Dtype>*>& top,
                     const std::vector<bool>& propagate_down,
                     const std::vector<Blob<Dtype>*>& bottom) override;
-  void Forward_cpu_parallel(const std::vector<Blob<Dtype>*>& bottom,
-                            const std::vector<Blob<Dtype>*>& top) override;
-  void Backward_cpu_parallel(const std::vector<Blob<Dtype>*>& top,
-                             const std::vector<bool>& propagate_down,
-                             const std::vector<Blob<Dtype>*>& bottom) override;
 
  private:
   /// Forward for channels [c0, c1): statistics (train) or stored stats

@@ -1,15 +1,10 @@
 #include "cgdnn/layers/conv_layer.hpp"
 
-#include <omp.h>
-
 #include <vector>
 
 #include "cgdnn/blas/blas.hpp"
 #include "cgdnn/blas/im2col.hpp"
 #include "cgdnn/layers/filler.hpp"
-#include "cgdnn/parallel/instrument.hpp"
-#include "cgdnn/parallel/merge.hpp"
-#include "cgdnn/parallel/privatizer.hpp"
 
 namespace cgdnn {
 
@@ -74,9 +69,9 @@ void ConvolutionLayer<Dtype>::Reshape(const std::vector<Blob<Dtype>*>& bottom,
   bottom_dim_ = channels_ * height_ * width_;
   top_dim_ = num_output_ * out_spatial_;
   top[0]->Reshape(num_, num_output_, out_h_, out_w_);
-  // col_buffer_ is NOT reshaped here: the parallel paths acquire per-thread
+  // col_buffer_ is NOT reshaped here: team members acquire per-thread
   // column buffers from the PrivatizationPool, so the member buffer is
-  // allocated lazily by SerialColBuffer() only when a serial pass runs
+  // allocated lazily by SerialColBuffer() only when a one-thread pass runs
   // (otherwise the memory-table bench overcounts by one col buffer).
   if (bias_term_) {
     bias_multiplier_.Reshape({out_spatial_});
@@ -211,63 +206,31 @@ void ConvolutionLayer<Dtype>::BackwardSampleBottom(const Dtype* top_diff,
 }
 
 template <typename Dtype>
+Dtype* ConvolutionLayer<Dtype>::ColBuffer(
+    const parallel::Chunk<Dtype>& chunk) {
+  return chunk.nthreads == 1 ? SerialColBuffer() : chunk.Scratch(col_count_);
+}
+
+template <typename Dtype>
 void ConvolutionLayer<Dtype>::Forward_cpu(
     const std::vector<Blob<Dtype>*>& bottom,
     const std::vector<Blob<Dtype>*>& top) {
   const Dtype* bottom_data = bottom[0]->cpu_data();
   Dtype* top_data = top[0]->mutable_cpu_data();
-  Dtype* col = forward_strategy_ == ConvStrategy::kDirect ? nullptr
-                                                          : SerialColBuffer();
-  const FusedEpilogue<Dtype>* ep = this->fused_epilogue();
-  for (index_t n = 0; n < num_; ++n) {
-    ForwardSample(bottom_data + n * bottom_dim_, top_data + n * top_dim_, col);
-    if (ep != nullptr) {
-      ep->ApplyForward(top_data + n * top_dim_, n * top_dim_, top_dim_);
-    }
-  }
-}
-
-template <typename Dtype>
-void ConvolutionLayer<Dtype>::Forward_cpu_parallel(
-    const std::vector<Blob<Dtype>*>& bottom,
-    const std::vector<Blob<Dtype>*>& top) {
-  const Dtype* bottom_data = bottom[0]->cpu_data();
-  Dtype* top_data = top[0]->mutable_cpu_data();
-  const int nthreads = parallel::Parallel::ResolveThreads();
-  auto& pool = parallel::PrivatizationPool::Get();
-  pool.Configure(nthreads);
-  pool.BeginLayerScope();
-  parallel::RegionStats rstats(this->layer_param_.name + ".forward",
-                               nthreads);
+  const bool need_col = forward_strategy_ != ConvStrategy::kDirect;
   // Batch-level parallelism, no coalescing needed: each sample is a heavy
   // and uniform work unit (im2col + GEMM), and all writes are disjoint.
-  check::WriteSetChecker* chk = rstats.checker();
-  const FusedEpilogue<Dtype>* ep = this->fused_epilogue();
-  const bool need_col = forward_strategy_ != ConvStrategy::kDirect;
-#pragma omp parallel num_threads(nthreads)
-  {
-    const int tid = omp_get_thread_num();
-    Dtype* col = need_col ? pool.Acquire<Dtype>(tid, col_count_) : nullptr;
-    {
-      parallel::ThreadRegionScope rscope(rstats, tid);
-#pragma omp for schedule(static) nowait
-      for (index_t n = 0; n < num_; ++n) {
-        ForwardSample(bottom_data + n * bottom_dim_, top_data + n * top_dim_,
-                      col);
-        if (ep != nullptr) {
-          // Fused elementwise chain, applied while the sample's output is
-          // cache-hot; writes stay inside this sample's top range.
-          ep->ApplyForward(top_data + n * top_dim_, n * top_dim_, top_dim_);
+  parallel::For<Dtype>(
+      this->layer_param_.name + ".forward", {num_},
+      [&](const parallel::Chunk<Dtype>& c) {
+        Dtype* col = need_col ? ColBuffer(c) : nullptr;
+        for (index_t n = c.begin; n < c.end; ++n) {
+          ForwardSample(bottom_data + n * bottom_dim_,
+                        top_data + n * top_dim_, col);
         }
-        if (chk != nullptr) {
-          chk->RecordWrite(tid, top_data, "top.data", n * top_dim_,
-                           (n + 1) * top_dim_);
-        }
-      }
-    }
-    // nowait keeps barrier wait out of the busy-time measurement; the
-    // region-end barrier still synchronizes everything.
-  }
+        c.RecordWrite(top_data, "top.data", c.begin * top_dim_,
+                      c.end * top_dim_);
+      });
 }
 
 template <typename Dtype>
@@ -277,114 +240,42 @@ void ConvolutionLayer<Dtype>::Backward_cpu(
     const std::vector<Blob<Dtype>*>& bottom) {
   const Dtype* top_diff = top[0]->cpu_diff();
   const Dtype* bottom_data = bottom[0]->cpu_data();
-  const bool col_for_weights =
-      this->param_propagate_down(0) &&
-      backward_weights_strategy_ != ConvStrategy::kDirect;
-  Dtype* col = col_for_weights || propagate_down[0] ? SerialColBuffer()
-                                                    : nullptr;
-  Dtype* weight_diff = this->param_propagate_down(0)
-                           ? this->blobs_[0]->mutable_cpu_diff()
-                           : nullptr;
-  Dtype* bias_diff = bias_term_ && this->param_propagate_down(1)
-                         ? this->blobs_[1]->mutable_cpu_diff()
-                         : nullptr;
-  for (index_t n = 0; n < num_; ++n) {
-    if (weight_diff != nullptr) {
-      BackwardSampleWeights(bottom_data + n * bottom_dim_,
-                            top_diff + n * top_dim_, weight_diff, bias_diff,
-                            col);
-    }
-    if (propagate_down[0]) {
-      BackwardSampleBottom(top_diff + n * top_dim_,
-                           bottom[0]->mutable_cpu_diff() + n * bottom_dim_,
-                           col);
-    }
-  }
-}
-
-template <typename Dtype>
-void ConvolutionLayer<Dtype>::Backward_cpu_parallel(
-    const std::vector<Blob<Dtype>*>& top,
-    const std::vector<bool>& propagate_down,
-    const std::vector<Blob<Dtype>*>& bottom) {
-  const Dtype* top_diff = top[0]->cpu_diff();
-  const Dtype* bottom_data = bottom[0]->cpu_data();
   const bool do_weights = this->param_propagate_down(0);
   const bool do_bias = bias_term_ && this->param_propagate_down(1);
-  const index_t wcount = this->blobs_[0]->count();
-  const index_t bcount = bias_term_ ? this->blobs_[1]->count() : 0;
-  // Shared destinations are resolved in serial code: SyncedMemory state
-  // transitions must not happen concurrently inside the parallel region.
-  Dtype* weight_diff_dest =
-      do_weights ? this->blobs_[0]->mutable_cpu_diff() : nullptr;
-  Dtype* bias_diff_dest = do_bias ? this->blobs_[1]->mutable_cpu_diff() : nullptr;
-  Dtype* bottom_diff = propagate_down[0] ? bottom[0]->mutable_cpu_diff() : nullptr;
-
-  const int nthreads = parallel::Parallel::ResolveThreads();
-  const auto merge = parallel::Parallel::Config().merge;
-  auto& pool = parallel::PrivatizationPool::Get();
-  pool.Configure(nthreads);
-  pool.BeginLayerScope();
-  std::vector<Dtype*> priv_w(static_cast<std::size_t>(nthreads), nullptr);
-  std::vector<Dtype*> priv_b(static_cast<std::size_t>(nthreads), nullptr);
-  parallel::RegionStats rstats(this->layer_param_.name + ".backward",
-                               nthreads);
-  check::WriteSetChecker* chk = rstats.checker();
-
+  // Shared destinations are resolved here, on the calling thread:
+  // SyncedMemory state transitions must not happen inside a region.
+  Dtype* weight_diff = do_weights ? this->blobs_[0]->mutable_cpu_diff()
+                                  : nullptr;
+  Dtype* bias_diff = do_bias ? this->blobs_[1]->mutable_cpu_diff() : nullptr;
+  Dtype* bottom_diff =
+      propagate_down[0] ? bottom[0]->mutable_cpu_diff() : nullptr;
   const bool need_col =
       (do_weights && backward_weights_strategy_ != ConvStrategy::kDirect) ||
-      propagate_down[0];
-#pragma omp parallel num_threads(nthreads)
-  {
-    const int tid = omp_get_thread_num();
-    Dtype* col = need_col ? pool.Acquire<Dtype>(tid, col_count_) : nullptr;
-    Dtype* wgrad = nullptr;
-    Dtype* bgrad = nullptr;
-    if (do_weights) {
-      // Object privatization (Algorithm 5, lines 3-5): a private gradient
-      // blob per thread, zero-initialized to the reduction's neuter value.
-      wgrad = pool.Acquire<Dtype>(tid, wcount);
-      blas::set(wcount, Dtype(0), wgrad);
-      priv_w[static_cast<std::size_t>(tid)] = wgrad;
-    }
-    if (do_bias) {
-      bgrad = pool.Acquire<Dtype>(tid, bcount);
-      blas::set(bcount, Dtype(0), bgrad);
-      priv_b[static_cast<std::size_t>(tid)] = bgrad;
-    }
-
-    {
-      parallel::ThreadRegionScope rscope(rstats, tid);
-#pragma omp for schedule(static) nowait
-      for (index_t n = 0; n < num_; ++n) {
-        if (do_weights) {
-          BackwardSampleWeights(bottom_data + n * bottom_dim_,
-                                top_diff + n * top_dim_, wgrad, bgrad, col);
-        }
-        if (bottom_diff != nullptr) {
-          BackwardSampleBottom(top_diff + n * top_dim_,
-                               bottom_diff + n * bottom_dim_, col);
-          if (chk != nullptr) {
-            chk->RecordWrite(tid, bottom_diff, "bottom.diff",
-                             n * bottom_dim_, (n + 1) * bottom_dim_);
+      bottom_diff != nullptr;
+  // Every sample accumulates into every weight, so the weight and bias
+  // gradients are privatized per thread and merged (Algorithm 5).
+  parallel::For<Dtype>(
+      this->layer_param_.name + ".backward", {num_},
+      {{weight_diff, this->blobs_[0]->count()},
+       {bias_diff, bias_term_ ? this->blobs_[1]->count() : 0}},
+      [&](const parallel::Chunk<Dtype>& c) {
+        Dtype* col = need_col ? ColBuffer(c) : nullptr;
+        for (index_t n = c.begin; n < c.end; ++n) {
+          if (do_weights) {
+            BackwardSampleWeights(bottom_data + n * bottom_dim_,
+                                  top_diff + n * top_dim_, c.grad(0),
+                                  c.grad(1), col);
+          }
+          if (bottom_diff != nullptr) {
+            BackwardSampleBottom(top_diff + n * top_dim_,
+                                 bottom_diff + n * bottom_dim_, col);
           }
         }
-      }
-    }
-    // Explicit barrier replacing the worksharing loop's implicit one (the
-    // loop is nowait so the busy-time scope above excludes barrier waits):
-    // all private gradients must be complete and visible before the merge.
-#pragma omp barrier
-
-    if (do_weights) {
-      parallel::AccumulatePrivate(merge, priv_w.data(), nthreads,
-                                  weight_diff_dest, wcount);
-    }
-    if (do_bias) {
-      parallel::AccumulatePrivate(merge, priv_b.data(), nthreads,
-                                  bias_diff_dest, bcount);
-    }
-  }
+        if (bottom_diff != nullptr) {
+          c.RecordWrite(bottom_diff, "bottom.diff", c.begin * bottom_dim_,
+                        c.end * bottom_dim_);
+        }
+      });
 }
 
 template class ConvolutionLayer<float>;

@@ -10,6 +10,7 @@
 
 #include "cgdnn/blas/direct_conv.hpp"
 #include "cgdnn/layers/layer.hpp"
+#include "cgdnn/parallel/for.hpp"
 
 namespace cgdnn {
 
@@ -35,8 +36,6 @@ class ConvolutionLayer : public Layer<Dtype> {
 
   index_t out_height() const { return out_h_; }
   index_t out_width() const { return out_w_; }
-
-  bool SupportsFusedEpilogue() const override { return true; }
 
   /// This layer's per-sample geometry for the planner's cost model and the
   /// direct kernels. Valid after Reshape.
@@ -68,15 +67,10 @@ class ConvolutionLayer : public Layer<Dtype> {
   void Backward_cpu(const std::vector<Blob<Dtype>*>& top,
                     const std::vector<bool>& propagate_down,
                     const std::vector<Blob<Dtype>*>& bottom) override;
-  void Forward_cpu_parallel(const std::vector<Blob<Dtype>*>& bottom,
-                            const std::vector<Blob<Dtype>*>& top) override;
-  void Backward_cpu_parallel(const std::vector<Blob<Dtype>*>& top,
-                             const std::vector<bool>& propagate_down,
-                             const std::vector<Blob<Dtype>*>& bottom) override;
 
  private:
-  // One sample's forward/backward kernels, shared by the serial and
-  // parallel paths (`col` is the caller-provided column buffer).
+  // One sample's forward/backward kernels (`col` is the caller-provided
+  // column buffer).
   void ForwardSample(const Dtype* bottom_data, Dtype* top_data,
                      Dtype* col) const;
   void BackwardSampleWeights(const Dtype* bottom_data, const Dtype* top_diff,
@@ -85,9 +79,12 @@ class ConvolutionLayer : public Layer<Dtype> {
   void BackwardSampleBottom(const Dtype* top_diff, Dtype* bottom_diff,
                             Dtype* col) const;
   void Im2ColSample(const Dtype* bottom_data, Dtype* col) const;
-  /// Lazily (re)shapes the member column buffer; only the serial paths call
-  /// this — the parallel paths use per-thread pool buffers instead.
+  /// Lazily (re)shapes the member column buffer; used at one thread only —
+  /// team members draw per-thread pool buffers instead.
   Dtype* SerialColBuffer();
+  /// The column buffer for one loop chunk: SerialColBuffer() at one thread
+  /// (where the body runs on the calling thread), a pool buffer in a team.
+  Dtype* ColBuffer(const parallel::Chunk<Dtype>& chunk);
 
   index_t num_output_ = 0;
   bool bias_term_ = true;

@@ -61,7 +61,7 @@ class DataLayer : public Layer<Dtype> {
   void Backward_cpu(const std::vector<Blob<Dtype>*>& /*top*/,
                     const std::vector<bool>& /*propagate_down*/,
                     const std::vector<Blob<Dtype>*>& /*bottom*/) override {}
-  // No Forward_cpu_parallel override: data layers stay sequential (paper).
+  // No parallel::For here: data layers stay sequential (paper).
 
  private:
   std::shared_ptr<const data::Dataset> dataset_;

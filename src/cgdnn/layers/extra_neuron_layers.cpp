@@ -8,20 +8,8 @@ void ElementwiseNeuronLayer<Dtype>::Forward_cpu(
     const std::vector<Blob<Dtype>*>& top) {
   const Dtype* x = bottom[0]->cpu_data();
   Dtype* y = top[0]->mutable_cpu_data();
-  const index_t count = bottom[0]->count();
-  for (index_t i = 0; i < count; ++i) y[i] = Evaluate(x[i]);
-}
-
-template <typename Dtype>
-void ElementwiseNeuronLayer<Dtype>::Forward_cpu_parallel(
-    const std::vector<Blob<Dtype>*>& bottom,
-    const std::vector<Blob<Dtype>*>& top) {
-  const Dtype* x = bottom[0]->cpu_data();
-  Dtype* y = top[0]->mutable_cpu_data();
-  const index_t count = bottom[0]->count();
-#pragma omp parallel for num_threads(parallel::Parallel::ResolveThreads()) \
-    schedule(static)
-  for (index_t i = 0; i < count; ++i) y[i] = Evaluate(x[i]);
+  this->ForEachElement(".forward", bottom[0]->count(),
+                       [=, this](index_t i) { y[i] = Evaluate(x[i]); });
 }
 
 template <typename Dtype>
@@ -36,26 +24,9 @@ void ElementwiseNeuronLayer<Dtype>::Backward_cpu(
   const Dtype* y = top[0]->cpu_data();
   const Dtype* dy = top[0]->cpu_diff();
   Dtype* dx = bottom[0]->mutable_cpu_diff();
-  const index_t count = bottom[0]->count();
-  for (index_t i = 0; i < count; ++i) dx[i] = dy[i] * Derivative(x[i], y[i]);
-}
-
-template <typename Dtype>
-void ElementwiseNeuronLayer<Dtype>::Backward_cpu_parallel(
-    const std::vector<Blob<Dtype>*>& top,
-    const std::vector<bool>& propagate_down,
-    const std::vector<Blob<Dtype>*>& bottom) {
-  if (!propagate_down[0]) return;
-  CGDNN_CHECK(bottom[0] != top[0])
-      << this->type() << " backward needs the original input: run out-of-place";
-  const Dtype* x = bottom[0]->cpu_data();
-  const Dtype* y = top[0]->cpu_data();
-  const Dtype* dy = top[0]->cpu_diff();
-  Dtype* dx = bottom[0]->mutable_cpu_diff();
-  const index_t count = bottom[0]->count();
-#pragma omp parallel for num_threads(parallel::Parallel::ResolveThreads()) \
-    schedule(static)
-  for (index_t i = 0; i < count; ++i) dx[i] = dy[i] * Derivative(x[i], y[i]);
+  this->ForEachElement(".backward", bottom[0]->count(), [=, this](index_t i) {
+    dx[i] = dy[i] * Derivative(x[i], y[i]);
+  });
 }
 
 #define CGDNN_INSTANTIATE_EXTRA(Layer) \

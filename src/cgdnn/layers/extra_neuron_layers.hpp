@@ -1,10 +1,10 @@
 // Additional element-wise layers completing the Caffe neuron-layer family:
 // Power, Exp, Log, AbsVal, BNLL (softplus) and ELU.
 //
-// All of them coalesce the whole loop nest in the coarse-grain path, which
-// the shared ElementwiseNeuronLayer base implements once: subclasses only
-// provide the per-element function and derivative — and automatically get
-// the paper's batch-level parallelization (a concrete demonstration of the
+// All of them coalesce the whole loop nest, which the shared
+// ElementwiseNeuronLayer base implements once: subclasses only provide the
+// per-element function and derivative — and automatically get the paper's
+// batch-level parallelization (a concrete demonstration of the
 // network-agnostic property inside the library itself).
 #pragma once
 
@@ -15,8 +15,7 @@
 namespace cgdnn {
 
 /// Base for stateless element-wise layers: y_i = f(x_i),
-/// dx_i = dy_i * f'(x_i, y_i). Serial and coarse-grain paths share the
-/// per-element functions.
+/// dx_i = dy_i * f'(x_i, y_i).
 template <typename Dtype>
 class ElementwiseNeuronLayer : public NeuronLayer<Dtype> {
  public:
@@ -32,11 +31,6 @@ class ElementwiseNeuronLayer : public NeuronLayer<Dtype> {
   void Backward_cpu(const std::vector<Blob<Dtype>*>& top,
                     const std::vector<bool>& propagate_down,
                     const std::vector<Blob<Dtype>*>& bottom) override;
-  void Forward_cpu_parallel(const std::vector<Blob<Dtype>*>& bottom,
-                            const std::vector<Blob<Dtype>*>& top) override;
-  void Backward_cpu_parallel(const std::vector<Blob<Dtype>*>& top,
-                             const std::vector<bool>& propagate_down,
-                             const std::vector<Blob<Dtype>*>& bottom) override;
 };
 
 /// y = (shift + scale * x) ^ power

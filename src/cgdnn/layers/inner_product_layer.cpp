@@ -1,13 +1,8 @@
 #include "cgdnn/layers/inner_product_layer.hpp"
 
-#include <omp.h>
-
 #include "cgdnn/blas/blas.hpp"
 #include "cgdnn/layers/filler.hpp"
-#include "cgdnn/parallel/coalesce.hpp"
-#include "cgdnn/parallel/instrument.hpp"
-#include "cgdnn/parallel/merge.hpp"
-#include "cgdnn/parallel/privatizer.hpp"
+#include "cgdnn/parallel/for.hpp"
 
 namespace cgdnn {
 
@@ -45,10 +40,6 @@ void InnerProductLayer<Dtype>::Reshape(const std::vector<Blob<Dtype>*>& bottom,
       << "input feature dimension changed for " << this->layer_param_.name;
   m_ = bottom[0]->count(0, axis);
   top[0]->Reshape({m_, num_output_});
-  if (bias_term_) {
-    bias_multiplier_.Reshape({m_});
-    bias_multiplier_.set_data(Dtype(1));
-  }
 }
 
 template <typename Dtype>
@@ -57,61 +48,28 @@ void InnerProductLayer<Dtype>::Forward_cpu(
     const std::vector<Blob<Dtype>*>& top) {
   const Dtype* bottom_data = bottom[0]->cpu_data();
   const Dtype* weight = this->blobs_[0]->cpu_data();
-  Dtype* top_data = top[0]->mutable_cpu_data();
-  // top (m x num_output) = bottom (m x k) * W^T (k x num_output)
-  blas::gemm(blas::Transpose::kNo, blas::Transpose::kTrans, m_, num_output_,
-             k_, Dtype(1), bottom_data, weight, Dtype(0), top_data);
-  if (bias_term_) {
-    blas::ger(m_, num_output_, Dtype(1), bias_multiplier_.cpu_data(),
-              this->blobs_[1]->cpu_data(), top_data);
-  }
-  if (const FusedEpilogue<Dtype>* ep = this->fused_epilogue()) {
-    ep->ApplyForward(top_data, 0, m_ * num_output_);
-  }
-}
-
-template <typename Dtype>
-void InnerProductLayer<Dtype>::Forward_cpu_parallel(
-    const std::vector<Blob<Dtype>*>& bottom,
-    const std::vector<Blob<Dtype>*>& top) {
-  const Dtype* bottom_data = bottom[0]->cpu_data();
-  const Dtype* weight = this->blobs_[0]->cpu_data();
   const Dtype* bias = bias_term_ ? this->blobs_[1]->cpu_data() : nullptr;
   Dtype* top_data = top[0]->mutable_cpu_data();
-  const int nthreads = parallel::Parallel::ResolveThreads();
-  parallel::RegionStats rstats(this->layer_param_.name + ".forward",
-                               nthreads);
-  // Batch-level parallelism: each thread evaluates the GEMM restricted to
-  // its contiguous block of samples (rows). Row results are independent,
-  // so this is bit-identical to the serial GEMM.
-  check::WriteSetChecker* chk = rstats.checker();
-#pragma omp parallel num_threads(nthreads)
-  {
-    const int tid = omp_get_thread_num();
-    parallel::ThreadRegionScope rscope(rstats, tid);
-    const auto range = parallel::StaticChunk(m_, omp_get_num_threads(), tid);
-    if (range.size() > 0) {
-      Dtype* out = top_data + range.begin * num_output_;
-      if (chk != nullptr) {
-        chk->RecordWrite(tid, top_data, "top.data",
-                         range.begin * num_output_, range.end * num_output_);
-      }
-      blas::gemm(blas::Transpose::kNo, blas::Transpose::kTrans, range.size(),
-                 num_output_, k_, Dtype(1), bottom_data + range.begin * k_,
-                 weight, Dtype(0), out);
-      if (bias != nullptr) {
-        for (index_t s = 0; s < range.size(); ++s) {
-          blas::axpy(num_output_, Dtype(1), bias, out + s * num_output_);
+  // Batch-level parallelism: each chunk evaluates the GEMM restricted to
+  // its contiguous block of samples (rows). Row results are independent of
+  // the partition.
+  parallel::For<Dtype>(
+      this->layer_param_.name + ".forward", {m_},
+      [&](const parallel::Chunk<Dtype>& c) {
+        // top rows (rows x num_output) = bottom rows (rows x k) * W^T
+        blas::gemm(blas::Transpose::kNo, blas::Transpose::kTrans,
+                   c.end - c.begin, num_output_, k_, Dtype(1),
+                   bottom_data + c.begin * k_, weight, Dtype(0),
+                   top_data + c.begin * num_output_);
+        if (bias != nullptr) {
+          for (index_t s = c.begin; s < c.end; ++s) {
+            blas::axpy(num_output_, Dtype(1), bias,
+                       top_data + s * num_output_);
+          }
         }
-      }
-      if (const FusedEpilogue<Dtype>* ep = this->fused_epilogue()) {
-        // Fused chain over this thread's row chunk — elementwise, so the
-        // partitioned application is bit-identical to a whole-blob pass.
-        ep->ApplyForward(out, range.begin * num_output_,
-                         range.size() * num_output_);
-      }
-    }
-  }
+        c.RecordWrite(top_data, "top.data", c.begin * num_output_,
+                      c.end * num_output_);
+      });
 }
 
 template <typename Dtype>
@@ -120,101 +78,66 @@ void InnerProductLayer<Dtype>::Backward_cpu(
     const std::vector<bool>& propagate_down,
     const std::vector<Blob<Dtype>*>& bottom) {
   const Dtype* top_diff = top[0]->cpu_diff();
-  if (this->param_propagate_down(0)) {
-    // dW (num_output x k) += top_diff^T (num_output x m) * bottom (m x k)
-    blas::gemm(blas::Transpose::kTrans, blas::Transpose::kNo, num_output_, k_,
-               m_, Dtype(1), top_diff, bottom[0]->cpu_data(), Dtype(1),
-               this->blobs_[0]->mutable_cpu_diff());
-  }
-  if (bias_term_ && this->param_propagate_down(1)) {
-    // db += top_diff^T * ones
-    blas::gemv(blas::Transpose::kTrans, m_, num_output_, Dtype(1), top_diff,
-               bias_multiplier_.cpu_data(), Dtype(1),
-               this->blobs_[1]->mutable_cpu_diff());
-  }
-  if (propagate_down[0]) {
-    // d_bottom (m x k) = top_diff (m x num_output) * W (num_output x k)
-    blas::gemm(blas::Transpose::kNo, blas::Transpose::kNo, m_, k_, num_output_,
-               Dtype(1), top_diff, this->blobs_[0]->cpu_data(), Dtype(0),
-               bottom[0]->mutable_cpu_diff());
-  }
-}
-
-template <typename Dtype>
-void InnerProductLayer<Dtype>::Backward_cpu_parallel(
-    const std::vector<Blob<Dtype>*>& top,
-    const std::vector<bool>& propagate_down,
-    const std::vector<Blob<Dtype>*>& bottom) {
-  const Dtype* top_diff = top[0]->cpu_diff();
   const Dtype* bottom_data = bottom[0]->cpu_data();
   const Dtype* weight = this->blobs_[0]->cpu_data();
-  const bool do_weights = this->param_propagate_down(0);
-  const bool do_bias = bias_term_ && this->param_propagate_down(1);
-  Dtype* weight_diff_dest =
-      do_weights ? this->blobs_[0]->mutable_cpu_diff() : nullptr;
-  Dtype* bias_diff_dest = do_bias ? this->blobs_[1]->mutable_cpu_diff() : nullptr;
-  Dtype* bottom_diff =
-      propagate_down[0] ? bottom[0]->mutable_cpu_diff() : nullptr;
-
-  const int nthreads = parallel::Parallel::ResolveThreads();
-  parallel::RegionStats rstats(this->layer_param_.name + ".backward",
-                               nthreads);
-  // Parameter gradients are partitioned by OUTPUT ROW instead of by sample
-  // (the loop-rearrangement freedom of paper §3.1.2): each dW row is a sum
-  // over all samples, so threads own disjoint rows, no privatization or
-  // merge is needed, and the per-row sample-ascending accumulation is
-  // bit-identical to the serial GEMM. The weight matrix is the layer's
-  // dominant state, so this also avoids the O(weights x threads) memory a
-  // batch-partitioned accumulation would privatize.
-  check::WriteSetChecker* chk = rstats.checker();
-#pragma omp parallel num_threads(nthreads)
-  {
-    const int tid = omp_get_thread_num();
-    const int team = omp_get_num_threads();
-    parallel::ThreadRegionScope rscope(rstats, tid);
-    if (do_weights || do_bias) {
-      const auto rows = parallel::StaticChunk(num_output_, team, tid);
-      if (chk != nullptr && rows.size() > 0) {
-        if (do_weights) {
-          chk->RecordWrite(tid, weight_diff_dest, "weight.diff",
-                           rows.begin * k_, rows.end * k_);
-        }
-        if (do_bias) {
-          chk->RecordWrite(tid, bias_diff_dest, "bias.diff", rows.begin,
-                           rows.end);
-        }
-      }
-      for (index_t o = rows.begin; o < rows.end; ++o) {
-        if (do_weights) {
-          Dtype* wrow = weight_diff_dest + o * k_;
-          for (index_t s = 0; s < m_; ++s) {
-            blas::axpy(k_, top_diff[s * num_output_ + o],
-                       bottom_data + s * k_, wrow);
+  Dtype* weight_diff = this->param_propagate_down(0)
+                           ? this->blobs_[0]->mutable_cpu_diff()
+                           : nullptr;
+  Dtype* bias_diff = bias_term_ && this->param_propagate_down(1)
+                         ? this->blobs_[1]->mutable_cpu_diff()
+                         : nullptr;
+  if (weight_diff != nullptr || bias_diff != nullptr) {
+    // Parameter gradients are partitioned by OUTPUT ROW instead of by sample
+    // (the loop-rearrangement freedom of paper §3.1.2): each dW row is a sum
+    // over all samples, so threads own disjoint rows, no privatization or
+    // merge is needed, and each row accumulates in ascending sample order
+    // whatever the thread count. The weight matrix is the layer's dominant
+    // state, so this also avoids the O(weights x threads) memory a
+    // batch-partitioned accumulation would privatize.
+    top_diff_t_.Reshape({num_output_, m_});
+    Dtype* diff_t = top_diff_t_.mutable_cpu_data();
+    parallel::For<Dtype>(
+        this->layer_param_.name + ".backward", {num_output_},
+        [&](const parallel::Chunk<Dtype>& c) {
+          // This chunk's rows of top_diff^T make its dW rows one GEMM:
+          // dW rows (rows x k) += top_diff^T rows (rows x m) * bottom (m x k)
+          for (index_t o = c.begin; o < c.end; ++o) {
+            for (index_t s = 0; s < m_; ++s) {
+              diff_t[o * m_ + s] = top_diff[s * num_output_ + o];
+            }
           }
-        }
-        if (do_bias) {
-          // Accumulate from the existing value in sample order: the exact
-          // association of the serial transposed GEMV.
-          Dtype sum = bias_diff_dest[o];
-          for (index_t s = 0; s < m_; ++s) sum += top_diff[s * num_output_ + o];
-          bias_diff_dest[o] = sum;
-        }
-      }
-    }
-    if (bottom_diff != nullptr) {
-      // Bottom gradient stays batch-partitioned (disjoint per sample).
-      const auto range = parallel::StaticChunk(m_, team, tid);
-      if (range.size() > 0) {
-        if (chk != nullptr) {
-          chk->RecordWrite(tid, bottom_diff, "bottom.diff",
-                           range.begin * k_, range.end * k_);
-        }
-        blas::gemm(blas::Transpose::kNo, blas::Transpose::kNo, range.size(),
-                   k_, num_output_, Dtype(1),
-                   top_diff + range.begin * num_output_, weight, Dtype(0),
-                   bottom_diff + range.begin * k_);
-      }
-    }
+          if (weight_diff != nullptr) {
+            blas::gemm(blas::Transpose::kNo, blas::Transpose::kNo,
+                       c.end - c.begin, k_, m_, Dtype(1),
+                       diff_t + c.begin * m_, bottom_data, Dtype(1),
+                       weight_diff + c.begin * k_);
+            c.RecordWrite(weight_diff, "weight.diff", c.begin * k_,
+                          c.end * k_);
+          }
+          if (bias_diff != nullptr) {
+            for (index_t o = c.begin; o < c.end; ++o) {
+              Dtype sum = bias_diff[o];
+              for (index_t s = 0; s < m_; ++s) sum += diff_t[o * m_ + s];
+              bias_diff[o] = sum;
+            }
+            c.RecordWrite(bias_diff, "bias.diff", c.begin, c.end);
+          }
+        });
+  }
+  if (propagate_down[0]) {
+    // The bottom gradient stays batch-partitioned (disjoint per sample).
+    Dtype* bottom_diff = bottom[0]->mutable_cpu_diff();
+    parallel::For<Dtype>(
+        this->layer_param_.name + ".backward", {m_},
+        [&](const parallel::Chunk<Dtype>& c) {
+          // d_bottom rows (rows x k) = top_diff rows (rows x num_output) * W
+          blas::gemm(blas::Transpose::kNo, blas::Transpose::kNo,
+                     c.end - c.begin, k_, num_output_, Dtype(1),
+                     top_diff + c.begin * num_output_, weight, Dtype(0),
+                     bottom_diff + c.begin * k_);
+          c.RecordWrite(bottom_diff, "bottom.diff", c.begin * k_,
+                        c.end * k_);
+        });
   }
 }
 

@@ -6,9 +6,10 @@
 // output distribution) does not match its own work distribution.
 //
 // Coarse-grain parallelization: threads take contiguous sample chunks; each
-// chunk is an independent GEMM over its rows (bit-identical to the serial
-// row-major evaluation). The backward weight gradient is privatized per
-// thread and merged with the configured strategy.
+// chunk is an independent GEMM over its rows (bit-identical to the whole-
+// batch evaluation). The backward weight and bias gradients are split by
+// output row instead — each chunk transposes its rows of the top diff and
+// runs one GEMM — so no privatization or merge is needed.
 #pragma once
 
 #include "cgdnn/layers/layer.hpp"
@@ -29,7 +30,6 @@ class InnerProductLayer : public Layer<Dtype> {
   const char* type() const override { return "InnerProduct"; }
   int ExactNumBottomBlobs() const override { return 1; }
   int ExactNumTopBlobs() const override { return 1; }
-  bool SupportsFusedEpilogue() const override { return true; }
 
  protected:
   void Forward_cpu(const std::vector<Blob<Dtype>*>& bottom,
@@ -37,18 +37,13 @@ class InnerProductLayer : public Layer<Dtype> {
   void Backward_cpu(const std::vector<Blob<Dtype>*>& top,
                     const std::vector<bool>& propagate_down,
                     const std::vector<Blob<Dtype>*>& bottom) override;
-  void Forward_cpu_parallel(const std::vector<Blob<Dtype>*>& bottom,
-                            const std::vector<Blob<Dtype>*>& top) override;
-  void Backward_cpu_parallel(const std::vector<Blob<Dtype>*>& top,
-                             const std::vector<bool>& propagate_down,
-                             const std::vector<Blob<Dtype>*>& bottom) override;
 
  private:
   index_t num_output_ = 0;
   bool bias_term_ = true;
   index_t m_ = 0;  // batch size
   index_t k_ = 0;  // input feature dim
-  Blob<Dtype> bias_multiplier_;  // ones, length m_
+  Blob<Dtype> top_diff_t_;  // top diff transposed (num_output x m), backward
 };
 
 }  // namespace cgdnn

@@ -10,11 +10,7 @@ template <typename Dtype>
 Dtype Layer<Dtype>::Forward(const std::vector<Blob<Dtype>*>& bottom,
                             const std::vector<Blob<Dtype>*>& top) {
   Reshape(bottom, top);
-  if (parallel::Parallel::CoarseGrain()) {
-    Forward_cpu_parallel(bottom, top);
-  } else {
-    Forward_cpu(bottom, top);
-  }
+  Forward_cpu(bottom, top);
   // Weighted loss: Caffe convention — a top blob contributing to the loss
   // carries its (constant) loss weight in its diff plane.
   Dtype total = 0;
@@ -31,11 +27,7 @@ void Layer<Dtype>::Backward(const std::vector<Blob<Dtype>*>& top,
                             const std::vector<bool>& propagate_down,
                             const std::vector<Blob<Dtype>*>& bottom) {
   CGDNN_CHECK_EQ(propagate_down.size(), bottom.size());
-  if (parallel::Parallel::CoarseGrain()) {
-    Backward_cpu_parallel(top, propagate_down, bottom);
-  } else {
-    Backward_cpu(top, propagate_down, bottom);
-  }
+  Backward_cpu(top, propagate_down, bottom);
 }
 
 template <typename Dtype>

@@ -2,16 +2,13 @@
 // transforms bottom blobs into top blobs (forward) and propagates gradients
 // from top diffs to bottom diffs and parameter diffs (backward).
 //
-// Each concrete layer provides up to four implementations:
-//   * Forward_cpu / Backward_cpu — the sequential loop nests of
-//     Algorithms 2/3 (also the correctness reference), and
-//   * Forward_cpu_parallel / Backward_cpu_parallel — the coarse-grain
-//     batch-level OpenMP versions of Algorithms 4/5 (coalesced loops,
-//     per-thread privatization, ordered gradient merge).
-// Forward()/Backward() dispatch on the global parallel::Parallel config;
-// a layer without a parallel specialization falls back to the serial code,
-// which is exactly the "network-agnostic" property: new layer types work
-// unchanged, and gain batch-parallelism when their author adds one pragma.
+// Each concrete layer writes its math once, in Forward_cpu / Backward_cpu.
+// A layer that runs its loops through parallel::For (parallel/for.hpp) gets
+// the coarse-grain batch-level execution of Algorithms 4/5 — coalesced
+// static chunks, per-thread privatized gradients, ordered merge — and at
+// one thread the same body is the sequential loop nest of Algorithms 2/3.
+// A layer with plain loops still works unchanged inside a parallel net:
+// that is the "network-agnostic" property.
 #pragma once
 
 #include <memory>
@@ -19,8 +16,6 @@
 
 #include "cgdnn/core/blob.hpp"
 #include "cgdnn/core/common.hpp"
-#include "cgdnn/layers/fused_op.hpp"
-#include "cgdnn/parallel/context.hpp"
 #include "cgdnn/proto/params.hpp"
 
 namespace cgdnn {
@@ -49,8 +44,8 @@ class Layer {
   virtual void Reshape(const std::vector<Blob<Dtype>*>& bottom,
                        const std::vector<Blob<Dtype>*>& top) = 0;
 
-  /// Runs the forward pass (serial or coarse-grain per the global parallel
-  /// config) and returns the total weighted loss produced by this layer.
+  /// Runs the forward pass and returns the total weighted loss produced by
+  /// this layer.
   Dtype Forward(const std::vector<Blob<Dtype>*>& bottom,
                 const std::vector<Blob<Dtype>*>& top);
 
@@ -107,20 +102,6 @@ class Layer {
   Phase phase() const { return phase_; }
   void set_phase(Phase phase) { phase_ = phase; }
 
-  /// True for producers whose forward loops apply a planner-installed
-  /// FusedEpilogue to each output chunk (conv/ip/pooling). The planner only
-  /// fuses consumers into layers that opt in here.
-  virtual bool SupportsFusedEpilogue() const { return false; }
-  /// Installs (or clears, with nullptr) the fused elementwise chain this
-  /// layer applies to its forward output. Set by plan::ApplyPlan from serial
-  /// code; the layer reads it inside Forward only.
-  void set_fused_epilogue(std::shared_ptr<const FusedEpilogue<Dtype>> ep) {
-    fused_epilogue_ = std::move(ep);
-  }
-  const FusedEpilogue<Dtype>* fused_epilogue() const {
-    return fused_epilogue_.get();
-  }
-
   /// Mutable runtime state beyond blobs() — data cursors, dropout pass
   /// counters — exported as opaque u64 words for checkpointing. A resumed
   /// net must replay training bit-identically, so any layer whose forward
@@ -137,24 +118,11 @@ class Layer {
   }
 
  protected:
-  // Serial reference implementations (Algorithms 2/3).
   virtual void Forward_cpu(const std::vector<Blob<Dtype>*>& bottom,
                            const std::vector<Blob<Dtype>*>& top) = 0;
   virtual void Backward_cpu(const std::vector<Blob<Dtype>*>& top,
                             const std::vector<bool>& propagate_down,
                             const std::vector<Blob<Dtype>*>& bottom) = 0;
-
-  // Coarse-grain batch-level implementations (Algorithms 4/5). The default
-  // delegates to the serial code — the network-agnostic fallback.
-  virtual void Forward_cpu_parallel(const std::vector<Blob<Dtype>*>& bottom,
-                                    const std::vector<Blob<Dtype>*>& top) {
-    Forward_cpu(bottom, top);
-  }
-  virtual void Backward_cpu_parallel(const std::vector<Blob<Dtype>*>& top,
-                                     const std::vector<bool>& propagate_down,
-                                     const std::vector<Blob<Dtype>*>& bottom) {
-    Backward_cpu(top, propagate_down, bottom);
-  }
 
   /// Default loss weight for top blob `index` (loss layers return 1 for
   /// their first top).
@@ -169,7 +137,6 @@ class Layer {
   std::vector<std::shared_ptr<Blob<Dtype>>> blobs_;
   std::vector<bool> param_propagate_down_;
   std::vector<Dtype> loss_;
-  std::shared_ptr<const FusedEpilogue<Dtype>> fused_epilogue_;
 };
 
 // ----------------------------------------------------------------- Registry

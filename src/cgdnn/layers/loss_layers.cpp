@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "cgdnn/blas/blas.hpp"
+#include "cgdnn/parallel/for.hpp"
 
 namespace cgdnn {
 
@@ -60,27 +61,17 @@ void SoftmaxWithLossLayer<Dtype>::Forward_cpu(
   const Dtype* bottom_data = bottom[0]->cpu_data();
   const Dtype* label = bottom[1]->cpu_data();
   Dtype* prob_data = prob_.mutable_cpu_data();
-  Dtype loss = 0;
-  for (index_t n = 0; n < num_; ++n) {
-    loss += ForwardSample(bottom_data, label, prob_data, n);
-  }
-  top[0]->mutable_cpu_data()[0] = loss / Normalizer();
-}
-
-template <typename Dtype>
-void SoftmaxWithLossLayer<Dtype>::Forward_cpu_parallel(
-    const std::vector<Blob<Dtype>*>& bottom,
-    const std::vector<Blob<Dtype>*>& top) {
-  const Dtype* bottom_data = bottom[0]->cpu_data();
-  const Dtype* label = bottom[1]->cpu_data();
-  Dtype* prob_data = prob_.mutable_cpu_data();  // resolved before the region
   Dtype* per_sample = per_sample_loss_.data();
-  const int nthreads = parallel::Parallel::ResolveThreads();
-#pragma omp parallel for num_threads(nthreads) schedule(static)
-  for (index_t n = 0; n < num_; ++n) {
-    per_sample[n] = ForwardSample(bottom_data, label, prob_data, n);
-  }
-  // Sample-ordered reduction: identical bit pattern to the serial loop.
+  parallel::For<Dtype>(
+      this->layer_param_.name + ".forward", {num_},
+      [&](const parallel::Chunk<Dtype>& c) {
+        for (index_t n = c.begin; n < c.end; ++n) {
+          per_sample[n] = ForwardSample(bottom_data, label, prob_data, n);
+        }
+        c.RecordWrite(prob_data, "prob", c.begin * channels_,
+                      c.end * channels_);
+      });
+  // Sample-ordered reduction: the same bit pattern at every thread count.
   Dtype loss = 0;
   for (index_t n = 0; n < num_; ++n) loss += per_sample[n];
   top[0]->mutable_cpu_data()[0] = loss / Normalizer();
@@ -113,27 +104,15 @@ void SoftmaxWithLossLayer<Dtype>::Backward_cpu(
   const Dtype* label = bottom[1]->cpu_data();
   Dtype* bottom_diff = bottom[0]->mutable_cpu_diff();
   const Dtype scale = top[0]->cpu_diff()[0] / Normalizer();
-  for (index_t n = 0; n < num_; ++n) {
-    BackwardSample(label, bottom_diff, n, scale);
-  }
-}
-
-template <typename Dtype>
-void SoftmaxWithLossLayer<Dtype>::Backward_cpu_parallel(
-    const std::vector<Blob<Dtype>*>& top,
-    const std::vector<bool>& propagate_down,
-    const std::vector<Blob<Dtype>*>& bottom) {
-  CGDNN_CHECK(!propagate_down[1])
-      << "SoftmaxWithLoss cannot backpropagate to labels";
-  if (!propagate_down[0]) return;
-  const Dtype* label = bottom[1]->cpu_data();
-  Dtype* bottom_diff = bottom[0]->mutable_cpu_diff();
-  const Dtype scale = top[0]->cpu_diff()[0] / Normalizer();
-  const int nthreads = parallel::Parallel::ResolveThreads();
-#pragma omp parallel for num_threads(nthreads) schedule(static)
-  for (index_t n = 0; n < num_; ++n) {
-    BackwardSample(label, bottom_diff, n, scale);
-  }
+  parallel::For<Dtype>(
+      this->layer_param_.name + ".backward", {num_},
+      [&](const parallel::Chunk<Dtype>& c) {
+        for (index_t n = c.begin; n < c.end; ++n) {
+          BackwardSample(label, bottom_diff, n, scale);
+        }
+        c.RecordWrite(bottom_diff, "bottom.diff", c.begin * channels_,
+                      c.end * channels_);
+      });
 }
 
 // ------------------------------------------------------------ EuclideanLoss

@@ -1,12 +1,11 @@
 // Loss layers. SoftmaxWithLoss is the terminal layer of both evaluation
 // networks; EuclideanLoss supports regression examples/tests.
 //
-// Loss reduction over the batch is a sum of per-sample terms. The parallel
-// forward computes per-sample losses into a private array and reduces it in
-// ascending sample order, which keeps the loss bit-independent of thread
-// count (per-sample terms are written to disjoint slots, then folded
-// serially) — the loss value is the quantity developers watch for the
-// paper's convergence-invariance property.
+// Loss reduction over the batch is a sum of per-sample terms. The forward
+// loop writes per-sample losses to disjoint slots of an array that is then
+// reduced in ascending sample order, which keeps the loss bit-independent
+// of thread count — the loss value is the quantity developers watch for
+// the paper's convergence-invariance property.
 #pragma once
 
 #include <vector>
@@ -60,11 +59,6 @@ class SoftmaxWithLossLayer : public LossLayer<Dtype> {
   void Backward_cpu(const std::vector<Blob<Dtype>*>& top,
                     const std::vector<bool>& propagate_down,
                     const std::vector<Blob<Dtype>*>& bottom) override;
-  void Forward_cpu_parallel(const std::vector<Blob<Dtype>*>& bottom,
-                            const std::vector<Blob<Dtype>*>& top) override;
-  void Backward_cpu_parallel(const std::vector<Blob<Dtype>*>& top,
-                             const std::vector<bool>& propagate_down,
-                             const std::vector<Blob<Dtype>*>& bottom) override;
 
  private:
   /// Computes prob_ for one sample and returns its -log p(label) term

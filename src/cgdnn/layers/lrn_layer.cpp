@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "cgdnn/parallel/coalesce.hpp"
+#include "cgdnn/parallel/for.hpp"
 
 namespace cgdnn {
 
@@ -94,43 +94,18 @@ void LRNLayer<Dtype>::Forward_cpu(const std::vector<Blob<Dtype>*>& bottom,
   Dtype* top_data = top[0]->mutable_cpu_data();
   Dtype* scale_data = scale_.mutable_cpu_data();
   const index_t sample = channels_ * height_ * width_;
-  for (index_t n = 0; n < num_; ++n) {
-    for (index_t y = 0; y < height_; ++y) {
-      ForwardRow(bottom_data + n * sample, top_data + n * sample,
-                 scale_data + n * sample, y);
-    }
-  }
-}
-
-template <typename Dtype>
-void LRNLayer<Dtype>::Forward_cpu_parallel(
-    const std::vector<Blob<Dtype>*>& bottom,
-    const std::vector<Blob<Dtype>*>& top) {
-  const Dtype* bottom_data = bottom[0]->cpu_data();
-  Dtype* top_data = top[0]->mutable_cpu_data();
-  Dtype* scale_data = scale_.mutable_cpu_data();
-  const index_t sample = channels_ * height_ * width_;
-  const int nthreads = parallel::Parallel::ResolveThreads();
   // LRN coalesces (N, H) — the channel window forbids splitting C, so its
   // data-thread distribution differs from conv/pool neighbours (the
   // locality effect discussed in §4.2.1).
-  if (parallel::Parallel::Config().coalesce) {
-    const parallel::CoalescedRange range{num_, height_};
-#pragma omp parallel for num_threads(nthreads) schedule(static)
-    for (index_t civ = 0; civ < range.total(); ++civ) {
-      const auto idx = range.Decode(civ);
-      ForwardRow(bottom_data + idx[0] * sample, top_data + idx[0] * sample,
-                 scale_data + idx[0] * sample, idx[1]);
-    }
-  } else {
-#pragma omp parallel for num_threads(nthreads) schedule(static)
-    for (index_t n = 0; n < num_; ++n) {
-      for (index_t y = 0; y < height_; ++y) {
-        ForwardRow(bottom_data + n * sample, top_data + n * sample,
-                   scale_data + n * sample, y);
-      }
-    }
-  }
+  parallel::For<Dtype>(
+      this->layer_param_.name + ".forward", {num_, height_},
+      [&](const parallel::Chunk<Dtype>& c) {
+        for (index_t civ = c.begin; civ < c.end; ++civ) {
+          const index_t n = civ / height_;
+          ForwardRow(bottom_data + n * sample, top_data + n * sample,
+                     scale_data + n * sample, civ % height_);
+        }
+      });
 }
 
 template <typename Dtype>
@@ -144,47 +119,16 @@ void LRNLayer<Dtype>::Backward_cpu(const std::vector<Blob<Dtype>*>& top,
   const Dtype* top_diff = top[0]->cpu_diff();
   Dtype* bottom_diff = bottom[0]->mutable_cpu_diff();
   const index_t sample = channels_ * height_ * width_;
-  for (index_t n = 0; n < num_; ++n) {
-    for (index_t y = 0; y < height_; ++y) {
-      BackwardRow(bottom_data + n * sample, top_data + n * sample,
-                  scale_data + n * sample, top_diff + n * sample,
-                  bottom_diff + n * sample, y);
-    }
-  }
-}
-
-template <typename Dtype>
-void LRNLayer<Dtype>::Backward_cpu_parallel(
-    const std::vector<Blob<Dtype>*>& top,
-    const std::vector<bool>& propagate_down,
-    const std::vector<Blob<Dtype>*>& bottom) {
-  if (!propagate_down[0]) return;
-  const Dtype* bottom_data = bottom[0]->cpu_data();
-  const Dtype* top_data = top[0]->cpu_data();
-  const Dtype* scale_data = scale_.cpu_data();
-  const Dtype* top_diff = top[0]->cpu_diff();
-  Dtype* bottom_diff = bottom[0]->mutable_cpu_diff();
-  const index_t sample = channels_ * height_ * width_;
-  const int nthreads = parallel::Parallel::ResolveThreads();
-  if (parallel::Parallel::Config().coalesce) {
-    const parallel::CoalescedRange range{num_, height_};
-#pragma omp parallel for num_threads(nthreads) schedule(static)
-    for (index_t civ = 0; civ < range.total(); ++civ) {
-      const auto idx = range.Decode(civ);
-      BackwardRow(bottom_data + idx[0] * sample, top_data + idx[0] * sample,
-                  scale_data + idx[0] * sample, top_diff + idx[0] * sample,
-                  bottom_diff + idx[0] * sample, idx[1]);
-    }
-  } else {
-#pragma omp parallel for num_threads(nthreads) schedule(static)
-    for (index_t n = 0; n < num_; ++n) {
-      for (index_t y = 0; y < height_; ++y) {
-        BackwardRow(bottom_data + n * sample, top_data + n * sample,
-                    scale_data + n * sample, top_diff + n * sample,
-                    bottom_diff + n * sample, y);
-      }
-    }
-  }
+  parallel::For<Dtype>(
+      this->layer_param_.name + ".backward", {num_, height_},
+      [&](const parallel::Chunk<Dtype>& c) {
+        for (index_t civ = c.begin; civ < c.end; ++civ) {
+          const index_t n = civ / height_;
+          BackwardRow(bottom_data + n * sample, top_data + n * sample,
+                      scale_data + n * sample, top_diff + n * sample,
+                      bottom_diff + n * sample, civ % height_);
+        }
+      });
 }
 
 template class LRNLayer<float>;

@@ -34,11 +34,6 @@ class LRNLayer : public Layer<Dtype> {
   void Backward_cpu(const std::vector<Blob<Dtype>*>& top,
                     const std::vector<bool>& propagate_down,
                     const std::vector<Blob<Dtype>*>& bottom) override;
-  void Forward_cpu_parallel(const std::vector<Blob<Dtype>*>& bottom,
-                            const std::vector<Blob<Dtype>*>& top) override;
-  void Backward_cpu_parallel(const std::vector<Blob<Dtype>*>& top,
-                             const std::vector<bool>& propagate_down,
-                             const std::vector<Blob<Dtype>*>& bottom) override;
 
  private:
   /// Forward for one (n, y) row across all channels and x.

@@ -7,38 +7,17 @@
 
 namespace cgdnn {
 
-namespace {
-int Threads() { return parallel::Parallel::ResolveThreads(); }
-}  // namespace
-
 // -------------------------------------------------------------------- ReLU
 
 template <typename Dtype>
 void ReLULayer<Dtype>::Forward_cpu(const std::vector<Blob<Dtype>*>& bottom,
                                    const std::vector<Blob<Dtype>*>& top) {
-  const Dtype* bottom_data = bottom[0]->cpu_data();
-  Dtype* top_data = top[0]->mutable_cpu_data();
-  const index_t count = bottom[0]->count();
-  for (index_t i = 0; i < count; ++i) {
-    top_data[i] = bottom_data[i] > 0
-                      ? bottom_data[i]
-                      : negative_slope_ * bottom_data[i];
-  }
-}
-
-template <typename Dtype>
-void ReLULayer<Dtype>::Forward_cpu_parallel(
-    const std::vector<Blob<Dtype>*>& bottom,
-    const std::vector<Blob<Dtype>*>& top) {
-  const Dtype* bottom_data = bottom[0]->cpu_data();
-  Dtype* top_data = top[0]->mutable_cpu_data();
-  const index_t count = bottom[0]->count();
+  const Dtype* x = bottom[0]->cpu_data();
+  Dtype* y = top[0]->mutable_cpu_data();
   const Dtype slope = negative_slope_;
-  // Whole-nest coalescing: (s, d1, ..., dN) collapse into one loop.
-#pragma omp parallel for num_threads(Threads()) schedule(static)
-  for (index_t i = 0; i < count; ++i) {
-    top_data[i] = bottom_data[i] > 0 ? bottom_data[i] : slope * bottom_data[i];
-  }
+  this->ForEachElement(".forward", bottom[0]->count(), [=](index_t i) {
+    y[i] = x[i] > 0 ? x[i] : slope * x[i];
+  });
 }
 
 template <typename Dtype>
@@ -46,60 +25,25 @@ void ReLULayer<Dtype>::Backward_cpu(const std::vector<Blob<Dtype>*>& top,
                                     const std::vector<bool>& propagate_down,
                                     const std::vector<Blob<Dtype>*>& bottom) {
   if (!propagate_down[0]) return;
-  const Dtype* bottom_data = bottom[0]->cpu_data();
-  const Dtype* top_diff = top[0]->cpu_diff();
-  Dtype* bottom_diff = bottom[0]->mutable_cpu_diff();
-  const index_t count = bottom[0]->count();
-  for (index_t i = 0; i < count; ++i) {
-    bottom_diff[i] =
-        top_diff[i] * (bottom_data[i] > 0 ? Dtype(1) : negative_slope_);
-  }
-}
-
-template <typename Dtype>
-void ReLULayer<Dtype>::Backward_cpu_parallel(
-    const std::vector<Blob<Dtype>*>& top,
-    const std::vector<bool>& propagate_down,
-    const std::vector<Blob<Dtype>*>& bottom) {
-  if (!propagate_down[0]) return;
-  const Dtype* bottom_data = bottom[0]->cpu_data();
-  const Dtype* top_diff = top[0]->cpu_diff();
-  Dtype* bottom_diff = bottom[0]->mutable_cpu_diff();
-  const index_t count = bottom[0]->count();
+  const Dtype* x = bottom[0]->cpu_data();
+  const Dtype* dy = top[0]->cpu_diff();
+  Dtype* dx = bottom[0]->mutable_cpu_diff();
   const Dtype slope = negative_slope_;
-#pragma omp parallel for num_threads(Threads()) schedule(static)
-  for (index_t i = 0; i < count; ++i) {
-    bottom_diff[i] = top_diff[i] * (bottom_data[i] > 0 ? Dtype(1) : slope);
-  }
+  this->ForEachElement(".backward", bottom[0]->count(), [=](index_t i) {
+    dx[i] = dy[i] * (x[i] > 0 ? Dtype(1) : slope);
+  });
 }
 
 // ----------------------------------------------------------------- Sigmoid
 
-namespace {
-template <typename Dtype>
-inline Dtype SigmoidFn(Dtype x) {
-  return Dtype(0.5) * std::tanh(Dtype(0.5) * x) + Dtype(0.5);
-}
-}  // namespace
-
 template <typename Dtype>
 void SigmoidLayer<Dtype>::Forward_cpu(const std::vector<Blob<Dtype>*>& bottom,
                                       const std::vector<Blob<Dtype>*>& top) {
-  const Dtype* bottom_data = bottom[0]->cpu_data();
-  Dtype* top_data = top[0]->mutable_cpu_data();
-  const index_t count = bottom[0]->count();
-  for (index_t i = 0; i < count; ++i) top_data[i] = SigmoidFn(bottom_data[i]);
-}
-
-template <typename Dtype>
-void SigmoidLayer<Dtype>::Forward_cpu_parallel(
-    const std::vector<Blob<Dtype>*>& bottom,
-    const std::vector<Blob<Dtype>*>& top) {
-  const Dtype* bottom_data = bottom[0]->cpu_data();
-  Dtype* top_data = top[0]->mutable_cpu_data();
-  const index_t count = bottom[0]->count();
-#pragma omp parallel for num_threads(Threads()) schedule(static)
-  for (index_t i = 0; i < count; ++i) top_data[i] = SigmoidFn(bottom_data[i]);
+  const Dtype* x = bottom[0]->cpu_data();
+  Dtype* y = top[0]->mutable_cpu_data();
+  this->ForEachElement(".forward", bottom[0]->count(), [=](index_t i) {
+    y[i] = Dtype(0.5) * std::tanh(Dtype(0.5) * x[i]) + Dtype(0.5);
+  });
 }
 
 template <typename Dtype>
@@ -107,29 +51,12 @@ void SigmoidLayer<Dtype>::Backward_cpu(const std::vector<Blob<Dtype>*>& top,
                                        const std::vector<bool>& propagate_down,
                                        const std::vector<Blob<Dtype>*>& bottom) {
   if (!propagate_down[0]) return;
-  const Dtype* top_data = top[0]->cpu_data();
-  const Dtype* top_diff = top[0]->cpu_diff();
-  Dtype* bottom_diff = bottom[0]->mutable_cpu_diff();
-  const index_t count = bottom[0]->count();
-  for (index_t i = 0; i < count; ++i) {
-    bottom_diff[i] = top_diff[i] * top_data[i] * (Dtype(1) - top_data[i]);
-  }
-}
-
-template <typename Dtype>
-void SigmoidLayer<Dtype>::Backward_cpu_parallel(
-    const std::vector<Blob<Dtype>*>& top,
-    const std::vector<bool>& propagate_down,
-    const std::vector<Blob<Dtype>*>& bottom) {
-  if (!propagate_down[0]) return;
-  const Dtype* top_data = top[0]->cpu_data();
-  const Dtype* top_diff = top[0]->cpu_diff();
-  Dtype* bottom_diff = bottom[0]->mutable_cpu_diff();
-  const index_t count = bottom[0]->count();
-#pragma omp parallel for num_threads(Threads()) schedule(static)
-  for (index_t i = 0; i < count; ++i) {
-    bottom_diff[i] = top_diff[i] * top_data[i] * (Dtype(1) - top_data[i]);
-  }
+  const Dtype* y = top[0]->cpu_data();
+  const Dtype* dy = top[0]->cpu_diff();
+  Dtype* dx = bottom[0]->mutable_cpu_diff();
+  this->ForEachElement(".backward", bottom[0]->count(), [=](index_t i) {
+    dx[i] = dy[i] * y[i] * (Dtype(1) - y[i]);
+  });
 }
 
 // -------------------------------------------------------------------- TanH
@@ -137,21 +64,10 @@ void SigmoidLayer<Dtype>::Backward_cpu_parallel(
 template <typename Dtype>
 void TanHLayer<Dtype>::Forward_cpu(const std::vector<Blob<Dtype>*>& bottom,
                                    const std::vector<Blob<Dtype>*>& top) {
-  const Dtype* bottom_data = bottom[0]->cpu_data();
-  Dtype* top_data = top[0]->mutable_cpu_data();
-  const index_t count = bottom[0]->count();
-  for (index_t i = 0; i < count; ++i) top_data[i] = std::tanh(bottom_data[i]);
-}
-
-template <typename Dtype>
-void TanHLayer<Dtype>::Forward_cpu_parallel(
-    const std::vector<Blob<Dtype>*>& bottom,
-    const std::vector<Blob<Dtype>*>& top) {
-  const Dtype* bottom_data = bottom[0]->cpu_data();
-  Dtype* top_data = top[0]->mutable_cpu_data();
-  const index_t count = bottom[0]->count();
-#pragma omp parallel for num_threads(Threads()) schedule(static)
-  for (index_t i = 0; i < count; ++i) top_data[i] = std::tanh(bottom_data[i]);
+  const Dtype* x = bottom[0]->cpu_data();
+  Dtype* y = top[0]->mutable_cpu_data();
+  this->ForEachElement(".forward", bottom[0]->count(),
+                       [=](index_t i) { y[i] = std::tanh(x[i]); });
 }
 
 template <typename Dtype>
@@ -159,29 +75,12 @@ void TanHLayer<Dtype>::Backward_cpu(const std::vector<Blob<Dtype>*>& top,
                                     const std::vector<bool>& propagate_down,
                                     const std::vector<Blob<Dtype>*>& bottom) {
   if (!propagate_down[0]) return;
-  const Dtype* top_data = top[0]->cpu_data();
-  const Dtype* top_diff = top[0]->cpu_diff();
-  Dtype* bottom_diff = bottom[0]->mutable_cpu_diff();
-  const index_t count = bottom[0]->count();
-  for (index_t i = 0; i < count; ++i) {
-    bottom_diff[i] = top_diff[i] * (Dtype(1) - top_data[i] * top_data[i]);
-  }
-}
-
-template <typename Dtype>
-void TanHLayer<Dtype>::Backward_cpu_parallel(
-    const std::vector<Blob<Dtype>*>& top,
-    const std::vector<bool>& propagate_down,
-    const std::vector<Blob<Dtype>*>& bottom) {
-  if (!propagate_down[0]) return;
-  const Dtype* top_data = top[0]->cpu_data();
-  const Dtype* top_diff = top[0]->cpu_diff();
-  Dtype* bottom_diff = bottom[0]->mutable_cpu_diff();
-  const index_t count = bottom[0]->count();
-#pragma omp parallel for num_threads(Threads()) schedule(static)
-  for (index_t i = 0; i < count; ++i) {
-    bottom_diff[i] = top_diff[i] * (Dtype(1) - top_data[i] * top_data[i]);
-  }
+  const Dtype* y = top[0]->cpu_data();
+  const Dtype* dy = top[0]->cpu_diff();
+  Dtype* dx = bottom[0]->mutable_cpu_diff();
+  this->ForEachElement(".backward", bottom[0]->count(), [=](index_t i) {
+    dx[i] = dy[i] * (Dtype(1) - y[i] * y[i]);
+  });
 }
 
 // ----------------------------------------------------------------- Dropout
@@ -214,40 +113,21 @@ bool DropoutLayer<Dtype>::MaskKeep(index_t i) const {
 template <typename Dtype>
 void DropoutLayer<Dtype>::Forward_cpu(const std::vector<Blob<Dtype>*>& bottom,
                                       const std::vector<Blob<Dtype>*>& top) {
-  const Dtype* bottom_data = bottom[0]->cpu_data();
-  Dtype* top_data = top[0]->mutable_cpu_data();
+  const Dtype* x = bottom[0]->cpu_data();
+  Dtype* y = top[0]->mutable_cpu_data();
   const index_t count = bottom[0]->count();
-  if (this->phase_ == Phase::kTrain) {
-    ++pass_counter_;
-    for (index_t i = 0; i < count; ++i) {
-      mask_[static_cast<std::size_t>(i)] = MaskKeep(i) ? scale_ : Dtype(0);
-      top_data[i] = bottom_data[i] * mask_[static_cast<std::size_t>(i)];
-    }
-  } else {
-    blas::copy(count, bottom_data, top_data);
+  if (this->phase_ != Phase::kTrain) {
+    blas::copy(count, x, y);
+    return;
   }
-}
-
-template <typename Dtype>
-void DropoutLayer<Dtype>::Forward_cpu_parallel(
-    const std::vector<Blob<Dtype>*>& bottom,
-    const std::vector<Blob<Dtype>*>& top) {
-  const Dtype* bottom_data = bottom[0]->cpu_data();
-  Dtype* top_data = top[0]->mutable_cpu_data();
-  const index_t count = bottom[0]->count();
-  if (this->phase_ == Phase::kTrain) {
-    ++pass_counter_;
-    Dtype* mask = mask_.data();
-#pragma omp parallel for num_threads(Threads()) schedule(static)
-    for (index_t i = 0; i < count; ++i) {
-      // The counter-based mask stream makes this loop order-free: element
-      // i's mask does not depend on which thread evaluates it.
-      mask[i] = MaskKeep(i) ? scale_ : Dtype(0);
-      top_data[i] = bottom_data[i] * mask[i];
-    }
-  } else {
-    blas::copy(count, bottom_data, top_data);
-  }
+  ++pass_counter_;
+  Dtype* mask = mask_.data();
+  // The counter-based mask stream makes the loop order-free: element i's
+  // mask does not depend on which thread evaluates it.
+  this->ForEachElement(".forward", count, [=, this](index_t i) {
+    mask[i] = MaskKeep(i) ? scale_ : Dtype(0);
+    y[i] = x[i] * mask[i];
+  });
 }
 
 template <typename Dtype>
@@ -255,34 +135,16 @@ void DropoutLayer<Dtype>::Backward_cpu(const std::vector<Blob<Dtype>*>& top,
                                        const std::vector<bool>& propagate_down,
                                        const std::vector<Blob<Dtype>*>& bottom) {
   if (!propagate_down[0]) return;
-  const Dtype* top_diff = top[0]->cpu_diff();
-  Dtype* bottom_diff = bottom[0]->mutable_cpu_diff();
+  const Dtype* dy = top[0]->cpu_diff();
+  Dtype* dx = bottom[0]->mutable_cpu_diff();
   const index_t count = bottom[0]->count();
-  if (this->phase_ == Phase::kTrain) {
-    for (index_t i = 0; i < count; ++i) {
-      bottom_diff[i] = top_diff[i] * mask_[static_cast<std::size_t>(i)];
-    }
-  } else {
-    blas::copy(count, top_diff, bottom_diff);
+  if (this->phase_ != Phase::kTrain) {
+    blas::copy(count, dy, dx);
+    return;
   }
-}
-
-template <typename Dtype>
-void DropoutLayer<Dtype>::Backward_cpu_parallel(
-    const std::vector<Blob<Dtype>*>& top,
-    const std::vector<bool>& propagate_down,
-    const std::vector<Blob<Dtype>*>& bottom) {
-  if (!propagate_down[0]) return;
-  const Dtype* top_diff = top[0]->cpu_diff();
-  Dtype* bottom_diff = bottom[0]->mutable_cpu_diff();
-  const index_t count = bottom[0]->count();
-  if (this->phase_ == Phase::kTrain) {
-    const Dtype* mask = mask_.data();
-#pragma omp parallel for num_threads(Threads()) schedule(static)
-    for (index_t i = 0; i < count; ++i) bottom_diff[i] = top_diff[i] * mask[i];
-  } else {
-    blas::copy(count, top_diff, bottom_diff);
-  }
+  const Dtype* mask = mask_.data();
+  this->ForEachElement(".backward", count,
+                       [=](index_t i) { dx[i] = dy[i] * mask[i]; });
 }
 
 #define CGDNN_INSTANTIATE_NEURON(Layer) \

@@ -2,8 +2,8 @@
 //
 // These are the small-granularity layers of the paper's u-shaped scalability
 // curves (Figs. 5/8): fully parallel with zero races, but so little work per
-// element that thread-level speedup saturates early. The coarse-grain path
-// coalesces the ENTIRE index space (batch x all blob dims) into one loop —
+// element that thread-level speedup saturates early. Their loops coalesce
+// the ENTIRE index space (batch x all blob dims) into one —
 // "some layers coalesce the whole loop nest" (§3.2.1).
 #pragma once
 
@@ -11,6 +11,7 @@
 
 #include "cgdnn/core/rng.hpp"
 #include "cgdnn/layers/layer.hpp"
+#include "cgdnn/parallel/for.hpp"
 
 namespace cgdnn {
 
@@ -27,6 +28,20 @@ class NeuronLayer : public Layer<Dtype> {
   }
   int ExactNumBottomBlobs() const override { return 1; }
   int ExactNumTopBlobs() const override { return 1; }
+
+ protected:
+  /// Runs `fn(i)` for every i in [0, count) as one parallel::For over the
+  /// whole coalesced nest; `pass` is ".forward" or ".backward".
+  template <typename Fn>
+  void ForEachElement(const char* pass, index_t count, const Fn& fn) {
+    parallel::For<Dtype>(this->layer_param_.name + pass, {count},
+                         [&fn](const parallel::Chunk<Dtype>& c) {
+                           const Fn local = fn;  // keeps loads loop-invariant
+                           for (index_t i = c.begin; i < c.end; ++i) {
+                             local(i);
+                           }
+                         });
+  }
 };
 
 template <typename Dtype>
@@ -43,11 +58,6 @@ class ReLULayer : public NeuronLayer<Dtype> {
   void Backward_cpu(const std::vector<Blob<Dtype>*>& top,
                     const std::vector<bool>& propagate_down,
                     const std::vector<Blob<Dtype>*>& bottom) override;
-  void Forward_cpu_parallel(const std::vector<Blob<Dtype>*>& bottom,
-                            const std::vector<Blob<Dtype>*>& top) override;
-  void Backward_cpu_parallel(const std::vector<Blob<Dtype>*>& top,
-                             const std::vector<bool>& propagate_down,
-                             const std::vector<Blob<Dtype>*>& bottom) override;
 
  private:
   Dtype negative_slope_;
@@ -65,11 +75,6 @@ class SigmoidLayer : public NeuronLayer<Dtype> {
   void Backward_cpu(const std::vector<Blob<Dtype>*>& top,
                     const std::vector<bool>& propagate_down,
                     const std::vector<Blob<Dtype>*>& bottom) override;
-  void Forward_cpu_parallel(const std::vector<Blob<Dtype>*>& bottom,
-                            const std::vector<Blob<Dtype>*>& top) override;
-  void Backward_cpu_parallel(const std::vector<Blob<Dtype>*>& top,
-                             const std::vector<bool>& propagate_down,
-                             const std::vector<Blob<Dtype>*>& bottom) override;
 };
 
 template <typename Dtype>
@@ -84,11 +89,6 @@ class TanHLayer : public NeuronLayer<Dtype> {
   void Backward_cpu(const std::vector<Blob<Dtype>*>& top,
                     const std::vector<bool>& propagate_down,
                     const std::vector<Blob<Dtype>*>& bottom) override;
-  void Forward_cpu_parallel(const std::vector<Blob<Dtype>*>& bottom,
-                            const std::vector<Blob<Dtype>*>& top) override;
-  void Backward_cpu_parallel(const std::vector<Blob<Dtype>*>& top,
-                             const std::vector<bool>& propagate_down,
-                             const std::vector<Blob<Dtype>*>& bottom) override;
 };
 
 /// Dropout with inverted scaling (outputs scaled by 1/(1-ratio) at train
@@ -121,16 +121,9 @@ class DropoutLayer : public NeuronLayer<Dtype> {
   void Backward_cpu(const std::vector<Blob<Dtype>*>& top,
                     const std::vector<bool>& propagate_down,
                     const std::vector<Blob<Dtype>*>& bottom) override;
-  void Forward_cpu_parallel(const std::vector<Blob<Dtype>*>& bottom,
-                            const std::vector<Blob<Dtype>*>& top) override;
-  void Backward_cpu_parallel(const std::vector<Blob<Dtype>*>& top,
-                             const std::vector<bool>& propagate_down,
-                             const std::vector<Blob<Dtype>*>& bottom) override;
 
  private:
   bool MaskKeep(index_t i) const;
-  void ForwardRange(const Dtype* bottom_data, Dtype* top_data, index_t begin,
-                    index_t end, std::vector<Dtype>& mask) const;
 
   Dtype ratio_;
   Dtype scale_;

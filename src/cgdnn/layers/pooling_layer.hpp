@@ -29,7 +29,6 @@ class PoolingLayer : public Layer<Dtype> {
   const char* type() const override { return "Pooling"; }
   int ExactNumBottomBlobs() const override { return 1; }
   int ExactNumTopBlobs() const override { return 1; }
-  bool SupportsFusedEpilogue() const override { return true; }
 
  protected:
   void Forward_cpu(const std::vector<Blob<Dtype>*>& bottom,
@@ -37,14 +36,9 @@ class PoolingLayer : public Layer<Dtype> {
   void Backward_cpu(const std::vector<Blob<Dtype>*>& top,
                     const std::vector<bool>& propagate_down,
                     const std::vector<Blob<Dtype>*>& bottom) override;
-  void Forward_cpu_parallel(const std::vector<Blob<Dtype>*>& bottom,
-                            const std::vector<Blob<Dtype>*>& top) override;
-  void Backward_cpu_parallel(const std::vector<Blob<Dtype>*>& top,
-                             const std::vector<bool>& propagate_down,
-                             const std::vector<Blob<Dtype>*>& bottom) override;
 
  private:
-  // Per-(sample, channel)-plane kernels shared by both execution paths.
+  // Per-(sample, channel)-plane kernels.
   void ForwardPlane(const Dtype* bottom_plane, Dtype* top_plane,
                     index_t* mask_plane) const;
   void BackwardPlane(const Dtype* top_diff_plane, const index_t* mask_plane,

@@ -7,10 +7,10 @@
 //   Scale: y[o, s, i] = x[o, s, i] * w[s]     (+ b[s] with bias_term)
 //   Bias:  y[o, s, i] = x[o, s, i] + b[s]
 //
-// Coarse-grain path: the (outer, S) loops are coalesced; coefficient
-// gradients partition by coefficient index across threads (each w[s] sums
-// over disjoint slices read by one thread only — no privatization needed,
-// like InnerProduct's row partitioning).
+// Both passes coalesce the (outer, S) loops; coefficient gradients
+// partition by coefficient index across threads (each w[s] sums over
+// disjoint slices read by one thread only — no privatization needed, like
+// InnerProduct's row partitioning).
 #pragma once
 
 #include "cgdnn/layers/layer.hpp"
@@ -37,11 +37,6 @@ class ScaleLayer : public Layer<Dtype> {
   void Backward_cpu(const std::vector<Blob<Dtype>*>& top,
                     const std::vector<bool>& propagate_down,
                     const std::vector<Blob<Dtype>*>& bottom) override;
-  void Forward_cpu_parallel(const std::vector<Blob<Dtype>*>& bottom,
-                            const std::vector<Blob<Dtype>*>& top) override;
-  void Backward_cpu_parallel(const std::vector<Blob<Dtype>*>& top,
-                             const std::vector<bool>& propagate_down,
-                             const std::vector<Blob<Dtype>*>& bottom) override;
 
  private:
   bool bias_term_ = false;
@@ -68,11 +63,6 @@ class BiasLayer : public Layer<Dtype> {
   void Backward_cpu(const std::vector<Blob<Dtype>*>& top,
                     const std::vector<bool>& propagate_down,
                     const std::vector<Blob<Dtype>*>& bottom) override;
-  void Forward_cpu_parallel(const std::vector<Blob<Dtype>*>& bottom,
-                            const std::vector<Blob<Dtype>*>& top) override;
-  void Backward_cpu_parallel(const std::vector<Blob<Dtype>*>& top,
-                             const std::vector<bool>& propagate_down,
-                             const std::vector<Blob<Dtype>*>& bottom) override;
 
  private:
   index_t outer_ = 0, bias_dim_ = 0, inner_ = 0;

@@ -4,6 +4,7 @@
 #include <numeric>
 
 #include "cgdnn/blas/blas.hpp"
+#include "cgdnn/parallel/for.hpp"
 
 namespace cgdnn {
 
@@ -155,23 +156,13 @@ void ArgMaxLayer<Dtype>::Forward_cpu(const std::vector<Blob<Dtype>*>& bottom,
                                      const std::vector<Blob<Dtype>*>& top) {
   const Dtype* scores = bottom[0]->cpu_data();
   Dtype* out = top[0]->mutable_cpu_data();
-  for (index_t n = 0; n < bottom[0]->shape(0); ++n) {
-    ForwardSample(scores, out, n);
-  }
-}
-
-template <typename Dtype>
-void ArgMaxLayer<Dtype>::Forward_cpu_parallel(
-    const std::vector<Blob<Dtype>*>& bottom,
-    const std::vector<Blob<Dtype>*>& top) {
-  const Dtype* scores = bottom[0]->cpu_data();
-  Dtype* out = top[0]->mutable_cpu_data();
-  const index_t num = bottom[0]->shape(0);
-#pragma omp parallel for num_threads(parallel::Parallel::ResolveThreads()) \
-    schedule(static)
-  for (index_t n = 0; n < num; ++n) {
-    ForwardSample(scores, out, n);
-  }
+  parallel::For<Dtype>(this->layer_param_.name + ".forward",
+                       {bottom[0]->shape(0)},
+                       [&](const parallel::Chunk<Dtype>& c) {
+                         for (index_t n = c.begin; n < c.end; ++n) {
+                           ForwardSample(scores, out, n);
+                         }
+                       });
 }
 
 #define CGDNN_INSTANTIATE_SHAPE(Layer) \

@@ -76,8 +76,6 @@ class ArgMaxLayer : public Layer<Dtype> {
  protected:
   void Forward_cpu(const std::vector<Blob<Dtype>*>& bottom,
                    const std::vector<Blob<Dtype>*>& top) override;
-  void Forward_cpu_parallel(const std::vector<Blob<Dtype>*>& bottom,
-                            const std::vector<Blob<Dtype>*>& top) override;
   void Backward_cpu(const std::vector<Blob<Dtype>*>& /*top*/,
                     const std::vector<bool>& propagate_down,
                     const std::vector<Blob<Dtype>*>& /*bottom*/) override {

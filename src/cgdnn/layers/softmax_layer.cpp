@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "cgdnn/parallel/coalesce.hpp"
+#include "cgdnn/parallel/for.hpp"
 
 namespace cgdnn {
 
@@ -60,26 +60,14 @@ void SoftmaxLayer<Dtype>::Forward_cpu(const std::vector<Blob<Dtype>*>& bottom,
                                       const std::vector<Blob<Dtype>*>& top) {
   const Dtype* bottom_data = bottom[0]->cpu_data();
   Dtype* top_data = top[0]->mutable_cpu_data();
-  for (index_t o = 0; o < outer_num_; ++o) {
-    for (index_t i = 0; i < inner_num_; ++i) {
-      ForwardPosition(bottom_data, top_data, o, i);
-    }
-  }
-}
-
-template <typename Dtype>
-void SoftmaxLayer<Dtype>::Forward_cpu_parallel(
-    const std::vector<Blob<Dtype>*>& bottom,
-    const std::vector<Blob<Dtype>*>& top) {
-  const Dtype* bottom_data = bottom[0]->cpu_data();
-  Dtype* top_data = top[0]->mutable_cpu_data();
-  const int nthreads = parallel::Parallel::ResolveThreads();
-  const parallel::CoalescedRange range{outer_num_, inner_num_};
-#pragma omp parallel for num_threads(nthreads) schedule(static)
-  for (index_t civ = 0; civ < range.total(); ++civ) {
-    const auto idx = range.Decode(civ);
-    ForwardPosition(bottom_data, top_data, idx[0], idx[1]);
-  }
+  parallel::For<Dtype>(
+      this->layer_param_.name + ".forward", {outer_num_, inner_num_},
+      [&](const parallel::Chunk<Dtype>& c) {
+        for (index_t civ = c.begin; civ < c.end; ++civ) {
+          ForwardPosition(bottom_data, top_data, civ / inner_num_,
+                          civ % inner_num_);
+        }
+      });
 }
 
 template <typename Dtype>
@@ -90,29 +78,14 @@ void SoftmaxLayer<Dtype>::Backward_cpu(const std::vector<Blob<Dtype>*>& top,
   const Dtype* top_data = top[0]->cpu_data();
   const Dtype* top_diff = top[0]->cpu_diff();
   Dtype* bottom_diff = bottom[0]->mutable_cpu_diff();
-  for (index_t o = 0; o < outer_num_; ++o) {
-    for (index_t i = 0; i < inner_num_; ++i) {
-      BackwardPosition(top_data, top_diff, bottom_diff, o, i);
-    }
-  }
-}
-
-template <typename Dtype>
-void SoftmaxLayer<Dtype>::Backward_cpu_parallel(
-    const std::vector<Blob<Dtype>*>& top,
-    const std::vector<bool>& propagate_down,
-    const std::vector<Blob<Dtype>*>& bottom) {
-  if (!propagate_down[0]) return;
-  const Dtype* top_data = top[0]->cpu_data();
-  const Dtype* top_diff = top[0]->cpu_diff();
-  Dtype* bottom_diff = bottom[0]->mutable_cpu_diff();
-  const int nthreads = parallel::Parallel::ResolveThreads();
-  const parallel::CoalescedRange range{outer_num_, inner_num_};
-#pragma omp parallel for num_threads(nthreads) schedule(static)
-  for (index_t civ = 0; civ < range.total(); ++civ) {
-    const auto idx = range.Decode(civ);
-    BackwardPosition(top_data, top_diff, bottom_diff, idx[0], idx[1]);
-  }
+  parallel::For<Dtype>(
+      this->layer_param_.name + ".backward", {outer_num_, inner_num_},
+      [&](const parallel::Chunk<Dtype>& c) {
+        for (index_t civ = c.begin; civ < c.end; ++civ) {
+          BackwardPosition(top_data, top_diff, bottom_diff, civ / inner_num_,
+                           civ % inner_num_);
+        }
+      });
 }
 
 template class SoftmaxLayer<float>;

@@ -25,11 +25,6 @@ class SoftmaxLayer : public Layer<Dtype> {
   void Backward_cpu(const std::vector<Blob<Dtype>*>& top,
                     const std::vector<bool>& propagate_down,
                     const std::vector<Blob<Dtype>*>& bottom) override;
-  void Forward_cpu_parallel(const std::vector<Blob<Dtype>*>& bottom,
-                            const std::vector<Blob<Dtype>*>& top) override;
-  void Backward_cpu_parallel(const std::vector<Blob<Dtype>*>& top,
-                             const std::vector<bool>& propagate_down,
-                             const std::vector<Blob<Dtype>*>& bottom) override;
 
  private:
   void ForwardPosition(const Dtype* bottom_data, Dtype* top_data,

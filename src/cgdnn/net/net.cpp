@@ -280,10 +280,6 @@ Dtype Net<Dtype>::Forward() {
   TRACE_SCOPE("net", name_ + ".forward");
   Dtype loss = 0;
   for (std::size_t li = 0; li < layers_.size(); ++li) {
-    // Fused consumers run inside their producer's output loop (a planner-
-    // installed FusedEpilogue); skipping them here is what removes the
-    // extra memory round-trip. They still run their own Backward.
-    if (layer_forward_skip(li)) continue;
     TimedLayerPhase<Dtype>(profiler_, layer_names_[li],
                            profile::LayerPhase::kForward, [&] {
                              loss += layers_[li]->Forward(bottom_vecs_[li],
@@ -305,15 +301,6 @@ void Net<Dtype>::Backward() {
                                                    bottom_vecs_[li]);
                            });
   }
-}
-
-template <typename Dtype>
-void Net<Dtype>::set_layer_forward_skip(std::size_t li, bool skip) {
-  CGDNN_CHECK_LT(li, layers_.size());
-  if (layer_forward_skip_.size() < layers_.size()) {
-    layer_forward_skip_.assign(layers_.size(), false);
-  }
-  layer_forward_skip_[li] = skip;
 }
 
 template <typename Dtype>

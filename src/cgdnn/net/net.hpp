@@ -75,7 +75,7 @@ class Net {
   // ---- planner hooks (src/cgdnn/plan/) -----------------------------------
 
   /// Per-layer blob-id wiring and backward-need flags, exposed read-only for
-  /// the planner's lifetime analysis and fusion legality checks.
+  /// the planner's lifetime analysis.
   const std::vector<std::vector<std::size_t>>& top_id_vecs() const {
     return top_id_vecs_;
   }
@@ -89,15 +89,12 @@ class Net {
     return blob_need_backward_;
   }
 
-  /// Marks layer `li` as fused into its producer: Forward() skips it (its
-  /// work happens in the producer's FusedEpilogue); Backward still runs it.
-  void set_layer_forward_skip(std::size_t li, bool skip);
-  bool layer_forward_skip(std::size_t li) const {
-    return li < layer_forward_skip_.size() && layer_forward_skip_[li];
-  }
+  /// Whether Forward() skips layer `li`: never — every layer runs its own
+  /// Forward. Kept for callers that step through the layers one by one.
+  bool layer_forward_skip(std::size_t /*li*/) const { return false; }
 
-  /// Keeps the execution plan's owned state (activation arena storage,
-  /// epilogues) alive as long as the net; opaque to the net itself.
+  /// Keeps the execution plan's owned state (the activation arena storage)
+  /// alive as long as the net; opaque to the net itself.
   void AttachPlanState(std::shared_ptr<void> state) {
     plan_state_ = std::move(state);
   }
@@ -154,8 +151,7 @@ class Net {
   // most recent producer.
   std::map<std::string, std::size_t> available_blobs_;
 
-  std::vector<bool> layer_forward_skip_;  // true: fused into producer
-  std::shared_ptr<void> plan_state_;      // owned by the execution plan
+  std::shared_ptr<void> plan_state_;  // owned by the execution plan
 
   bool force_backward_ = false;
   profile::Profiler* profiler_ = nullptr;

@@ -23,7 +23,7 @@ GradientMerge GradientMergeFromName(const std::string& name) {
 }
 
 ParallelConfig& Parallel::Config() {
-  static ParallelConfig cfg = [] {
+  thread_local ParallelConfig cfg = [] {
     omp_set_dynamic(0);  // teams must have exactly the requested size
     return ParallelConfig{};
   }();
@@ -34,10 +34,6 @@ int Parallel::ResolveThreads() {
   const ParallelConfig& cfg = Config();
   if (cfg.mode == ExecutionMode::kSerial) return 1;
   return cfg.num_threads > 0 ? cfg.num_threads : omp_get_max_threads();
-}
-
-bool Parallel::CoarseGrain() {
-  return Config().mode == ExecutionMode::kCoarseGrain && ResolveThreads() > 1;
 }
 
 Parallel::Scope::Scope(const ParallelConfig& cfg) : saved_(Config()) {

@@ -1,4 +1,4 @@
-// Global configuration of the coarse-grain parallel execution: how many
+// Configuration of the coarse-grain parallel execution: how many
 // OpenMP threads the batch-level loops use, which gradient-merge strategy
 // the backward passes apply, and whether loop coalescing is active.
 //
@@ -48,16 +48,18 @@ struct ParallelConfig {
   bool coalesce = true;
 };
 
-/// Process-wide parallel configuration (layers consult it on every pass).
+/// Per-thread parallel configuration: every thread that drives layers (the
+/// main thread, each serving worker) has its own, and a new thread starts
+/// from the defaults. parallel::For reads it on the calling thread before a
+/// region opens; nothing reads it inside one.
 class Parallel {
  public:
   static ParallelConfig& Config();
-  /// Thread count the next parallel region should request (resolves 0).
+  /// Thread count the calling thread's next parallel::For uses (resolves 0).
   static int ResolveThreads();
-  /// True if layer loops should take the coarse-grain (OpenMP) path.
-  static bool CoarseGrain();
 
-  /// RAII override, restoring the previous configuration on destruction.
+  /// RAII override of the calling thread's configuration, restoring the
+  /// previous one on destruction.
   class Scope {
    public:
     explicit Scope(const ParallelConfig& cfg);

@@ -17,18 +17,9 @@
 // `ipc_last` / `llc_miss_rate_last` gauges. Counters missing on the host
 // record nothing — output fields are absent, never zeroed.
 //
-// Usage (layer code):
-//   parallel::RegionStats rs("conv1.forward", nthreads);
-//   #pragma omp parallel num_threads(nthreads)
-//   {
-//     ...
-//     {
-//       parallel::ThreadRegionScope scope(rs, tid);
-//       #pragma omp for schedule(static) nowait   // nowait: the scope must
-//       for (...) { ... }                         // not time barrier waits
-//     }
-//     #pragma omp barrier    // restore the worksharing barrier if needed
-//   }
+// parallel::For (for.hpp) brackets every region it opens with one
+// RegionStats and each thread's chunk with one ThreadRegionScope; layers do
+// not use these directly.
 //
 // When neither tracing nor metrics collection is active the constructor
 // reads one atomic flag and every hook is a no-op — the disabled cost is a
@@ -78,10 +69,8 @@ class RegionStats {
   perfctr::Delta TotalDelta() const;
 
   /// The region's write-set checker: non-null only while cgdnn-check is
-  /// armed (CGDNN_CHECK=on / check::ScopedEnable). Layers record their
-  /// shared-buffer writes through it:
-  ///   if (auto* chk = rstats.checker())
-  ///     chk->RecordWrite(tid, top_data, "top.data", begin, end);
+  /// armed (CGDNN_CHECK=on / check::ScopedEnable). Loop bodies record their
+  /// shared-buffer writes through it via Chunk::RecordWrite.
   check::WriteSetChecker* checker() { return checker_.get(); }
 
  private:

@@ -1,11 +1,10 @@
 // Gradient merge strategies (Algorithm 5, lines 22-24).
 //
-// After the worksharing loop of a backward pass, each thread holds a private
-// gradient accumulation. AccumulatePrivate folds all private parts into the
-// shared gradient blob. It MUST be called by every thread of the enclosing
-// parallel region (it contains worksharing/barrier constructs) and relies on
-// the implicit barrier of the preceding `omp for` having made all parts
-// visible.
+// After the loop of a backward pass, each thread holds a private gradient
+// accumulation. AccumulatePrivate folds all private parts into the shared
+// gradient blob. It MUST be called by every thread of the enclosing
+// parallel region (it contains worksharing/barrier constructs) after a
+// barrier that made all parts visible — parallel::For places both.
 #pragma once
 
 #include "cgdnn/core/common.hpp"

@@ -26,11 +26,12 @@ using ThreadArena = ::cgdnn::ThreadArena;
 
 class PrivatizationPool {
  public:
-  /// Process-wide pool used by the layer implementations.
+  /// Process-wide pool parallel::For draws private gradients and scratch
+  /// from.
   static PrivatizationPool& Get();
 
   /// Ensures arenas exist for threads [0, nthreads). Must be called from
-  /// serial code (layers call it before opening the parallel region).
+  /// serial code (parallel::For calls it before opening its region).
   void Configure(int nthreads);
 
   /// Resets every thread's scope; called at the start of a layer pass —

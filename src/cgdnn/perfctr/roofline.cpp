@@ -44,7 +44,7 @@ MachinePeak MeasureMachinePeak(int threads, index_t gemm_dim,
     double best_s = 0;
     // Measurement probe: instrumenting it would perturb the peak it exists
     // to measure.
-    // cgdnn-lint: allow(instrumented-region)
+    // cgdnn-lint: allow(region-owner)
 #pragma omp parallel num_threads(peak.threads)
     {
       const std::size_t t = static_cast<std::size_t>(omp_get_thread_num());
@@ -87,6 +87,7 @@ MachinePeak MeasureMachinePeak(int threads, index_t gemm_dim,
     double best_s = 0;
     for (int rep = 0; rep < reps + 1; ++rep) {  // first rep = page warmup
       const double t0 = NowSeconds();
+      // cgdnn-lint: allow(region-owner)
 #pragma omp parallel for num_threads(peak.threads) schedule(static)
       for (index_t i = 0; i < triad_elems; ++i) {
         ta[static_cast<std::size_t>(i)] =

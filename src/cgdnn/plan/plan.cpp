@@ -30,18 +30,6 @@ std::string ExecutionPlan::ToJson() const {
        << ", \"measured_direct_us\": " << d.measured_direct_us << "}";
   }
   os << "],\n";
-  os << "  \"fusion_groups\": [";
-  for (std::size_t i = 0; i < fusion_groups.size(); ++i) {
-    const auto& g = fusion_groups[i];
-    os << (i ? ",\n    " : "\n    ");
-    os << "{\"producer\": \"" << JsonEscape(g.producer)
-       << "\", \"consumers\": [";
-    for (std::size_t j = 0; j < g.consumers.size(); ++j) {
-      os << (j ? ", " : "") << "\"" << JsonEscape(g.consumers[j]) << "\"";
-    }
-    os << "]}";
-  }
-  os << "],\n";
   os << "  \"arena_total_bytes\": " << arena.total_bytes << ",\n";
   os << "  \"arena_per_plane_bytes\": " << arena.per_plane_bytes << ",\n";
   os << "  \"intervals\": [";
@@ -90,19 +78,6 @@ bool ExecutionPlan::FromJson(std::string_view text, ExecutionPlan* out) {
       d.measured_im2col_us = e.GetNumber("measured_im2col_us", -1);
       d.measured_direct_us = e.GetNumber("measured_direct_us", -1);
       p.conv_decisions.push_back(std::move(d));
-    }
-  }
-  if (const JsonValue* arr = root.Find("fusion_groups");
-      arr != nullptr && arr->is_array()) {
-    for (const JsonValue& e : arr->array()) {
-      if (!e.is_object()) return false;
-      FusionGroup g;
-      g.producer = e.GetString("producer");
-      if (g.producer.empty()) return false;
-      const JsonValue* cons = e.Find("consumers");
-      if (cons == nullptr || !cons->is_array()) return false;
-      for (const JsonValue& c : cons->array()) g.consumers.push_back(c.AsString());
-      p.fusion_groups.push_back(std::move(g));
     }
   }
   p.arena.total_bytes = root.GetInt("arena_total_bytes");

@@ -2,12 +2,10 @@
 //
 // One plan is valid for exactly one (net signature, batch, thread count,
 // git SHA) tuple — the four inputs that change what the planner would
-// decide. The plan records three decision families:
+// decide. The plan records two decision families:
 //   1. per-conv kernel strategies (im2col-GEMM vs direct), with the cost
 //      model's analytic and measured numbers kept for `cgdnn_plan --explain`;
-//   2. fusion groups: elementwise in-place consumer chains folded into
-//      their producer's output loop;
-//   3. the activation arena layout (arena_plan.hpp intervals with offsets).
+//   2. the activation arena layout (arena_plan.hpp intervals with offsets).
 // Plans serialize to JSON for the on-disk cache (plan_cache.hpp) and the
 // cgdnn_plan tool; FromJson treats any malformed input as "no plan".
 #pragma once
@@ -31,11 +29,6 @@ struct ConvDecision {
   double measured_direct_us = -1;
 };
 
-struct FusionGroup {
-  std::string producer;
-  std::vector<std::string> consumers;  ///< in forward order
-};
-
 struct ExecutionPlan {
   // ---- cache key ----
   std::string net_signature;  ///< NetSignature() of the planned net
@@ -49,7 +42,6 @@ struct ExecutionPlan {
 
   // ---- decisions ----
   std::vector<ConvDecision> conv_decisions;
-  std::vector<FusionGroup> fusion_groups;
   ArenaLayout arena;          ///< empty intervals = arena disabled
   index_t col_slot_bytes = 0; ///< shared serial col scratch size (0 = none)
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <map>
 #include <set>
 #include <sstream>
 #include <vector>
@@ -18,13 +17,6 @@
 namespace cgdnn::plan {
 
 namespace {
-
-/// Consumer types allowed in a fused epilogue chain. Dropout is stateful
-/// (counter-driven masks), LRN/Pooling are cross-element — never fusable.
-bool FusableConsumerType(const std::string& type) {
-  return type == "ReLU" || type == "Sigmoid" || type == "TanH" ||
-         type == "Scale" || type == "Bias";
-}
 
 /// Layer types whose tops carry externally produced batches; never arena'd.
 bool IsDataType(const std::string& type) {
@@ -84,50 +76,6 @@ void PlanConvStrategies(const Net<Dtype>& net, const PlannerOptions& opts,
     // stays materialized: it WRITES the col matrix).
     d.backward_weights_direct = direct;
     plan->conv_decisions.push_back(std::move(d));
-  }
-}
-
-template <typename Dtype>
-void PlanFusion(const Net<Dtype>& net, ExecutionPlan* plan) {
-  const auto& layers = net.layers();
-  const auto& tops = net.top_id_vecs();
-  const auto& bottoms = net.bottom_id_vecs();
-  for (std::size_t li = 0; li < layers.size(); ++li) {
-    if (!layers[li]->SupportsFusedEpilogue() || tops[li].size() != 1) {
-      continue;
-    }
-    const std::size_t b = tops[li][0];
-    FusionGroup group;
-    group.producer = net.layer_names()[li];
-    // Walk forward in execution order. A layer that touches blob b either
-    // joins the chain (legal in-place elementwise consumer) or ends it: a
-    // non-chain reader must still observe the values the UNfused schedule
-    // would have given it at that point, so nothing past it may be hoisted
-    // into the producer.
-    for (std::size_t lj = li + 1; lj < layers.size(); ++lj) {
-      const bool reads = std::find(bottoms[lj].begin(), bottoms[lj].end(),
-                                   b) != bottoms[lj].end();
-      const bool writes =
-          std::find(tops[lj].begin(), tops[lj].end(), b) != tops[lj].end();
-      if (!reads && !writes) continue;
-      const std::string type = layers[lj]->type();
-      const bool in_place = reads && writes && bottoms[lj].size() == 1 &&
-                            tops[lj].size() == 1;
-      const bool stateless_any_phase =
-          type == "ReLU" || type == "Sigmoid" || type == "TanH";
-      // Scale/Bias backward needs the pre-transform input, which in-place
-      // forward destroys — fusable only when their backward never runs
-      // (inference-style frozen chains).
-      const bool legal =
-          in_place && FusableConsumerType(type) &&
-          (stateless_any_phase || !net.layer_need_backward()[lj]) &&
-          layers[lj]->loss(0) == Dtype(0);
-      if (!legal) break;
-      group.consumers.push_back(net.layer_names()[lj]);
-    }
-    if (!group.consumers.empty()) {
-      plan->fusion_groups.push_back(std::move(group));
-    }
   }
 }
 
@@ -275,7 +223,6 @@ BuildResult BuildPlan(const Net<Dtype>& net, const PlannerOptions& opts) {
     plan.mem_gbps = peak.mem_gbps;
     PlanConvStrategies(net, opts, peak, &plan);
   }
-  if (opts.enable_fusion) PlanFusion(net, &plan);
   if (opts.enable_arena) PlanArena(net, &plan);
 
   if (opts.use_cache) StorePlan(plan, cache_dir);
@@ -285,53 +232,18 @@ BuildResult BuildPlan(const Net<Dtype>& net, const PlannerOptions& opts) {
 
 namespace {
 
-/// State a plan attaches to its net: the arena storage and the epilogue
-/// chains (layers hold raw views into both).
-template <typename Dtype>
+/// State a plan attaches to its net: the arena storage (layers and blobs
+/// hold raw views into it).
 struct PlanState {
   AlignedBuffer arena;
-  std::vector<std::shared_ptr<const FusedEpilogue<Dtype>>> epilogues;
 };
-
-template <typename Dtype>
-FusedOp<Dtype> MakeFusedOp(const Layer<Dtype>& layer,
-                           const Blob<Dtype>& bottom) {
-  const std::string type = layer.type();
-  FusedOp<Dtype> op;
-  if (type == "ReLU") {
-    op.kind = FusedOpKind::kReLU;
-    op.slope = static_cast<Dtype>(layer.layer_param().relu_param.negative_slope);
-  } else if (type == "Sigmoid") {
-    op.kind = FusedOpKind::kSigmoid;
-  } else if (type == "TanH") {
-    op.kind = FusedOpKind::kTanH;
-  } else if (type == "Scale") {
-    op.kind = FusedOpKind::kScale;
-    const int axis =
-        bottom.CanonicalAxisIndex(layer.layer_param().scale_param.axis);
-    op.coef = layer.blobs()[0]->cpu_data();
-    op.bias = layer.blobs().size() > 1 ? layer.blobs()[1]->cpu_data() : nullptr;
-    op.dim = bottom.shape(axis);
-    op.inner = bottom.count(axis + 1);
-  } else if (type == "Bias") {
-    op.kind = FusedOpKind::kBias;
-    const int axis =
-        bottom.CanonicalAxisIndex(layer.layer_param().bias_param.axis);
-    op.coef = layer.blobs()[0]->cpu_data();
-    op.dim = bottom.shape(axis);
-    op.inner = bottom.count(axis + 1);
-  } else {
-    CGDNN_CHECK(false) << "not a fusable layer type: " << type;
-  }
-  return op;
-}
 
 }  // namespace
 
 template <typename Dtype>
 void ApplyPlan(Net<Dtype>* net, const ExecutionPlan& plan) {
   const std::uint64_t start_ns = trace::NowNs();
-  auto state = std::make_shared<PlanState<Dtype>>();
+  auto state = std::make_shared<PlanState>();
 
   // ---- conv strategies ----
   index_t direct_convs = 0;
@@ -346,32 +258,6 @@ void ApplyPlan(Net<Dtype>* net, const ExecutionPlan& plan) {
                                             ? ConvStrategy::kDirect
                                             : ConvStrategy::kIm2colGemm);
     direct_convs += d.forward_direct ? 1 : 0;
-  }
-
-  // ---- fusion ----
-  std::map<std::string, std::size_t> layer_index;
-  for (std::size_t li = 0; li < net->layer_names().size(); ++li) {
-    layer_index[net->layer_names()[li]] = li;
-  }
-  index_t fused_layers = 0;
-  for (const FusionGroup& g : plan.fusion_groups) {
-    CGDNN_CHECK(net->has_layer(g.producer))
-        << "planned producer missing: " << g.producer;
-    auto ep = std::make_shared<FusedEpilogue<Dtype>>();
-    for (const std::string& name : g.consumers) {
-      const auto it = layer_index.find(name);
-      CGDNN_CHECK(it != layer_index.end())
-          << "planned consumer missing: " << name;
-      const std::size_t ci = it->second;
-      const Layer<Dtype>& consumer = *net->layers()[ci];
-      ep->Append(MakeFusedOp(consumer, *net->bottom_vecs()[ci][0]), name);
-      net->set_layer_forward_skip(ci, true);
-      ++fused_layers;
-    }
-    net->layer_by_name(g.producer)
-        ->set_fused_epilogue(
-            std::shared_ptr<const FusedEpilogue<Dtype>>(ep));
-    state->epilogues.push_back(std::move(ep));
   }
 
   // ---- arena binding ----
@@ -422,13 +308,11 @@ void ApplyPlan(Net<Dtype>* net, const ExecutionPlan& plan) {
       .Set(static_cast<double>(plan.arena.per_plane_bytes));
   metrics.GetGauge("plan.col_slot_bytes")
       .Set(static_cast<double>(plan.col_slot_bytes));
-  metrics.GetGauge("plan.fused_layers").Set(static_cast<double>(fused_layers));
   metrics.GetGauge("plan.direct_convs").Set(static_cast<double>(direct_convs));
   trace::Tracer::Get().Emit(
       "plan", net->name() + ".apply", start_ns, trace::NowNs(),
       {{"arena_bytes", static_cast<double>(plan.arena.total_bytes)},
        {"per_plane_bytes", static_cast<double>(plan.arena.per_plane_bytes)},
-       {"fused_layers", static_cast<double>(fused_layers)},
        {"direct_convs", static_cast<double>(direct_convs)}});
 }
 

@@ -3,18 +3,16 @@
 //
 // BuildPlan runs once per configuration (plan_cache.hpp memoizes it across
 // processes): probe the machine roofs, run the cost model over every conv
-// shape, discover legal fusion chains, and color the activation lifetime
-// intervals into an arena layout. ApplyPlan then rewires a net in place:
-// conv strategy setters, producer epilogues + forward-skip flags, and
+// shape, and color the activation lifetime intervals into an arena layout.
+// ApplyPlan then rewires a net in place: conv strategy setters and
 // SyncedMemory rebinding of every planned plane into the arena buffer. The
-// plan's owned state (the arena storage, the epilogue objects) is attached
-// to the net via Net::AttachPlanState so it lives exactly as long as the
-// net does.
+// plan's owned state (the arena storage) is attached to the net via
+// Net::AttachPlanState so it lives exactly as long as the net does.
 //
 // Everything a plan changes is bit-identity-preserving by construction
-// (direct kernels share the GEMM micro-kernels, fusion replicates the layer
-// formulas, the arena only moves storage); the planned thread-sweep tests
-// and `cgdnn_plan --validate` enforce it end to end.
+// (direct kernels share the GEMM micro-kernels, the arena only moves
+// storage); the planned thread-sweep tests and `cgdnn_plan --validate`
+// enforce it end to end.
 #pragma once
 
 #include <memory>
@@ -28,7 +26,6 @@ namespace cgdnn::plan {
 struct PlannerOptions {
   int threads = 1;          ///< thread count the plan targets (cache key)
   bool enable_direct = true;
-  bool enable_fusion = true;
   bool enable_arena = true;
   bool use_cache = true;    ///< consult/populate the on-disk plan cache
   bool measure = true;      ///< refine conv choices with measured timings
@@ -54,7 +51,7 @@ constexpr index_t kMinArenaPlaneBytes = 4096;
 template <typename Dtype>
 BuildResult BuildPlan(const Net<Dtype>& net, const PlannerOptions& opts);
 
-/// Applies `plan` to `net` (strategies, fusion, arena binding) and attaches
+/// Applies `plan` to `net` (strategies, arena binding) and attaches
 /// the plan's owned state. Also publishes the decision summary as metrics
 /// gauges (plan.*) and one "plan"/"apply" trace span with the same numbers.
 /// Call on a freshly constructed net, before any Forward.

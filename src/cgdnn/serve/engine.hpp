@@ -44,7 +44,7 @@ class InferenceEngine {
  public:
   struct Options {
     index_t max_batch = 8;
-    /// Run the PR-7 planner over every bucket net (kernel selection, fusion,
+    /// Run the execution planner over every bucket net (kernel selection,
     /// activation arenas) at the serving batch sizes.
     bool planned = true;
     bool plan_cache = true;       ///< consult/populate the on-disk plan cache

@@ -34,6 +34,16 @@ void ParseSlowWorkerFault(int* worker_id, std::uint64_t* ms) {
   }
 }
 
+/// The intra-op configuration a worker or calibration thread runs with: the
+/// calling thread's, pinned to one thread when several workers share the
+/// host (their concurrent forwards would otherwise oversubscribe it and
+/// contend for the thread-id-keyed privatization arenas).
+parallel::ParallelConfig WorkerConfig(int workers) {
+  parallel::ParallelConfig cfg = parallel::Parallel::Config();
+  if (workers > 1) cfg.num_threads = 1;
+  return cfg;
+}
+
 std::uint64_t DropResponseEveryFromEnv() {
   const char* env = std::getenv("CGDNN_SERVE_FAULT_DROP_RESPONSE");
   if (env == nullptr || env[0] == '\0') return 0;
@@ -206,7 +216,10 @@ Server::Server(const proto::NetParameter& model, const ServerOptions& opts)
   eopts.planned = opts.planned;
   eopts.plan_cache = opts.plan_cache;
   eopts.plan_cache_dir = opts.plan_cache_dir;
-  eopts.plan_threads = parallel::Parallel::ResolveThreads();
+  {
+    const parallel::Parallel::Scope pinned(WorkerConfig(opts.workers));
+    eopts.plan_threads = parallel::Parallel::ResolveThreads();
+  }
   impl_->engine = std::make_unique<InferenceEngine>(model, eopts);
   impl_->queue = std::make_unique<BoundedRequestQueue>(opts.queue_capacity);
   impl_->stats_exporter = std::make_unique<StatsExporter>(opts.stats);
@@ -231,11 +244,6 @@ double Server::CalibrateSustainableQps(int reps) {
   Impl& impl = *impl_;
   CGDNN_CHECK(!impl.started.load(std::memory_order_acquire))
       << "calibrate before Start(): worker construction is serial-only";
-  if (impl.opts.workers > 1) {
-    CGDNN_CHECK_EQ(parallel::Parallel::ResolveThreads(), 1)
-        << "workers > 1 requires intra-op threads == 1 (the calibration "
-           "probes run concurrently, same contract as Start)";
-  }
   // One probe replica per worker, exercised CONCURRENTLY: the pool's real
   // capacity on a host with fewer cores (or less memory bandwidth) than
   // workers is the contended aggregate rate, not workers x an uncontended
@@ -243,6 +251,9 @@ double Server::CalibrateSustainableQps(int reps) {
   // planning are not thread-safe).
   const int workers = impl.opts.workers;
   const index_t max_batch = impl.opts.max_batch;
+  // Probes, warmup included, run with the workers' intra-op configuration.
+  const parallel::ParallelConfig cfg = WorkerConfig(workers);
+  const parallel::Parallel::Scope pinned(cfg);
   std::vector<std::unique_ptr<InferenceEngine::Worker>> probes;
   probes.reserve(static_cast<std::size_t>(workers));
   for (int w = 0; w < workers; ++w) {
@@ -263,7 +274,8 @@ double Server::CalibrateSustainableQps(int reps) {
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(workers));
   for (auto& probe : probes) {
-    threads.emplace_back([&probe, &samples, reps] {
+    threads.emplace_back([&probe, &samples, reps, cfg] {
+      const parallel::Parallel::Scope probe_pinned(cfg);
       std::vector<std::vector<float>> outputs;
       for (int r = 0; r < reps; ++r) {
         // Clear per rep (RunBatch appends): accumulating reps x max_batch
@@ -287,15 +299,6 @@ void Server::Start() {
   CGDNN_CHECK(!impl_->started.exchange(true, std::memory_order_acq_rel))
       << "Server::Start called twice";
 
-  // Intra-op parallelism (global OMP config + tid-keyed privatization
-  // arenas) does not compose with concurrent worker forwards.
-  if (impl_->opts.workers > 1) {
-    CGDNN_CHECK_EQ(parallel::Parallel::ResolveThreads(), 1)
-        << "workers > 1 requires intra-op threads == 1 (privatization "
-           "arenas are keyed by OMP thread id; concurrent parallel "
-           "forwards would race)";
-  }
-
   int fault_worker = -1;
   std::uint64_t fault_ms = 0;
   ParseSlowWorkerFault(&fault_worker, &fault_ms);
@@ -311,11 +314,16 @@ void Server::Start() {
     if (i == fault_worker) ws->fault_slow_ms = fault_ms;
     impl_->workers.push_back(std::move(ws));
   }
-  // Threads launch only after every replica exists.
+  // Threads launch only after every replica exists, each with the
+  // starting thread's intra-op configuration (WorkerConfig).
+  const parallel::ParallelConfig cfg = WorkerConfig(impl_->opts.workers);
   for (int i = 0; i < impl_->opts.workers; ++i) {
     auto impl = impl_;  // keep Impl alive in detached (stalled) workers
     impl_->workers[static_cast<std::size_t>(i)]->thread =
-        std::thread([impl, i] { impl->WorkerLoop(i); });
+        std::thread([impl, i, cfg] {
+          const parallel::Parallel::Scope pinned(cfg);
+          impl->WorkerLoop(i);
+        });
   }
   auto impl = impl_;
   impl_->supervisor = std::thread([impl] { impl->SupervisorLoop(); });

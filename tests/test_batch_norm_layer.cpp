@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "cgdnn/net/net.hpp"
+#include "cgdnn/parallel/context.hpp"
 #include "gradient_checker.hpp"
 
 namespace cgdnn {

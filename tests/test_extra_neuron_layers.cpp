@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "cgdnn/parallel/context.hpp"
 #include "gradient_checker.hpp"
 
 namespace cgdnn {

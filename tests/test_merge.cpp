@@ -165,7 +165,6 @@ TEST(ParallelConfig, SerialModeResolvesOneThread) {
   cfg.num_threads = 8;
   Parallel::Scope scope(cfg);
   EXPECT_EQ(Parallel::ResolveThreads(), 1);
-  EXPECT_FALSE(Parallel::CoarseGrain());
 }
 
 TEST(ParallelConfig, CoarseGrainRequiresMultipleThreads) {
@@ -173,10 +172,9 @@ TEST(ParallelConfig, CoarseGrainRequiresMultipleThreads) {
   cfg.mode = ExecutionMode::kCoarseGrain;
   cfg.num_threads = 1;
   Parallel::Scope scope(cfg);
-  EXPECT_FALSE(Parallel::CoarseGrain());
+  EXPECT_EQ(Parallel::ResolveThreads(), 1);
   cfg.num_threads = 4;
   Parallel::Scope scope2(cfg);
-  EXPECT_TRUE(Parallel::CoarseGrain());
   EXPECT_EQ(Parallel::ResolveThreads(), 4);
 }
 

@@ -24,6 +24,7 @@
 #include "cgdnn/plan/json_lite.hpp"
 #include "cgdnn/plan/plan_cache.hpp"
 #include "cgdnn/plan/planner.hpp"
+#include "temp_path.hpp"
 
 namespace cgdnn {
 namespace {
@@ -369,10 +370,6 @@ plan::ExecutionPlan MakePlanFixture() {
   d.measured_im2col_us = 9.5;
   d.measured_direct_us = 6.75;
   p.conv_decisions.push_back(d);
-  plan::FusionGroup g;
-  g.producer = "ip1";
-  g.consumers = {"relu1"};
-  p.fusion_groups.push_back(g);
   std::vector<plan::LifetimeInterval> ivs(2);
   ivs[0].name = "conv1";
   ivs[0].kind = plan::SlotKind::kData;
@@ -410,7 +407,7 @@ TEST(PlanJson, RejectsMalformedPlans) {
 }
 
 TEST(PlanCache, RoundTripAndKeyInvalidation) {
-  const std::string dir = ::testing::TempDir() + "cgdnn_plan_cache_test";
+  const std::string dir = testing::UniqueTempPath("cgdnn_plan_cache_test");
   std::filesystem::remove_all(dir);  // stale entries from a prior run
   const auto p = MakePlanFixture();
   plan::StorePlan(p, dir);
@@ -433,10 +430,11 @@ TEST(PlanCache, RoundTripAndKeyInvalidation) {
   // A torn/corrupt file degrades to a miss, never a wrong plan.
   data::WriteFileAtomic(plan::PlanCachePath(key, dir), "{\"garbage\": tru");
   EXPECT_FALSE(plan::LoadCachedPlan(key, dir, &loaded));
+  std::filesystem::remove_all(dir);
 }
 
 TEST(PlanCache, WarmHitSkipsMeasurementAndIsFaster) {
-  const std::string dir = ::testing::TempDir() + "cgdnn_plan_warm_test";
+  const std::string dir = testing::UniqueTempPath("cgdnn_plan_warm_test");
   std::filesystem::remove_all(dir);  // a prior run's cache would fake a hit
   models::ModelOptions o;
   o.batch_size = 4;
@@ -462,6 +460,7 @@ TEST(PlanCache, WarmHitSkipsMeasurementAndIsFaster) {
   // A different thread count is a different plan: cold again.
   opts.threads = 4;
   EXPECT_FALSE(plan::BuildPlan(net, opts).cache_hit);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 
 #include "cgdnn/data/io.hpp"
 #include "cgdnn/plan/plan_cache.hpp"
+#include "temp_path.hpp"
 
 namespace cgdnn {
 namespace {
@@ -31,17 +32,13 @@ plan::ExecutionPlan FaultPlanFixture() {
   d.im2col_us = 4.5;
   d.direct_us = 6.0;
   p.conv_decisions.push_back(d);
-  plan::FusionGroup g;
-  g.producer = "ip1";
-  g.consumers = {"relu1"};
-  p.fusion_groups.push_back(g);
   return p;
 }
 
 class PlanCacheFaults : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "cgdnn_plan_cache_faults";
+    dir_ = testing::UniqueTempPath("cgdnn_plan_cache_faults");
     std::filesystem::remove_all(dir_);
     plan_ = FaultPlanFixture();
     key_ = plan::PlanCacheKey{plan_.net_signature, plan_.batch,
@@ -50,6 +47,7 @@ class PlanCacheFaults : public ::testing::Test {
     plan::StorePlan(plan_, dir_);
     ASSERT_TRUE(std::filesystem::exists(path_));
   }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
 
   std::string dir_;
   std::string path_;

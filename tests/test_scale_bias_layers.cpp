@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "cgdnn/core/rng.hpp"
+#include "cgdnn/parallel/context.hpp"
 #include "gradient_checker.hpp"
 
 namespace cgdnn {

@@ -34,6 +34,7 @@
 #include "cgdnn/serve/stats.hpp"
 #include "cgdnn/trace/metrics.hpp"
 #include "cgdnn/trace/trace.hpp"
+#include "temp_path.hpp"
 
 namespace cgdnn {
 namespace {
@@ -375,7 +376,7 @@ TEST(ServeStatsTest, TailClassifierBlamesTheDominantStage) {
 // version it parses must never go backwards.
 TEST(ServeStatsTest, SnapshotFileIsAtomicUnderConcurrentReader) {
   const std::string path =
-      ::testing::TempDir() + "cgdnn_stats_atomic_test.json";
+      testing::UniqueTempPath("cgdnn_stats_atomic_test") + ".json";
   std::remove(path.c_str());
 
   serve::StatsOptions opts;

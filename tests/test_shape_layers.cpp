@@ -4,6 +4,7 @@
 
 #include "cgdnn/core/rng.hpp"
 #include "cgdnn/net/net.hpp"
+#include "cgdnn/parallel/context.hpp"
 #include "gradient_checker.hpp"
 
 namespace cgdnn {

@@ -20,6 +20,7 @@
 #include "cgdnn/parallel/merge.hpp"
 #include "cgdnn/trace/metrics.hpp"
 #include "cgdnn/trace/telemetry.hpp"
+#include "temp_path.hpp"
 
 namespace cgdnn::trace {
 namespace {
@@ -331,7 +332,8 @@ TEST(RegionStats, InertWhenCollectionDisabled) {
 }
 
 TEST(Telemetry, WritesOneJsonObjectPerLine) {
-  const std::string path = ::testing::TempDir() + "cgdnn_telemetry_test.jsonl";
+  const std::string path =
+      testing::UniqueTempPath("cgdnn_telemetry_test") + ".jsonl";
   {
     TelemetrySink sink(path);
     sink.Write({{"iter", 1.0}, {"loss", 0.25}});

@@ -310,8 +310,7 @@ int main(int argc, char** argv) {
 
     // --- planned A/B pass --------------------------------------------------
     // Wall-clock on identical fresh nets, plain vs. under the execution
-    // plan, so the two numbers share a measurement basis (the per-layer
-    // profiler attribution above cannot see fused epilogues as such).
+    // plan, so the two numbers share a measurement basis.
     const bool planned_mode = flags.GetBool("planned");
     std::map<int, double> plain_wall_us, planned_wall_us;
     if (planned_mode) {

@@ -3,13 +3,12 @@
 //   cgdnn_plan --model=<file|lenet|cifar10_quick> [--batch=N] [--threads=N]
 //              [--phase=train|test] [--merge=MODE] [--explain] [--json[=file]]
 //              [--validate] [--inject-bad-plan] [--cache-dir=DIR]
-//              [--no-cache] [--no-measure] [--no-direct] [--no-fusion]
-//              [--no-arena]
+//              [--no-cache] [--no-measure] [--no-direct] [--no-arena]
 //
 // Builds the cost-model execution plan for one (model, batch, threads)
 // configuration and shows what the planner decided: per-conv kernel
-// strategy with the analytic/measured evidence, the fused epilogue chains,
-// and the arena layout with per-slot offsets and lifetime steps.
+// strategy with the analytic/measured evidence, and the arena layout with
+// per-slot offsets and lifetime steps.
 //
 // --json prints the exact cache-file serialization (or writes it to the
 // given path). --validate is the end-to-end bit-identity gate: it runs the
@@ -45,7 +44,7 @@ constexpr const char* kUsage =
     "cgdnn_plan --model=<file|lenet|cifar10_quick> [--batch=N] [--threads=N] "
     "[--phase=train|test] [--merge=MODE] [--explain] [--json[=file]] "
     "[--validate] [--inject-bad-plan] [--cache-dir=DIR] [--no-cache] "
-    "[--no-measure] [--no-direct] [--no-fusion] [--no-arena]";
+    "[--no-measure] [--no-direct] [--no-arena]";
 
 /// Builtin models get the requested batch; prototxt files keep their own.
 proto::NetParameter ResolvePlanModel(const std::string& model, index_t batch) {
@@ -93,13 +92,6 @@ void PrintPlan(const plan::ExecutionPlan& plan, bool explain) {
       }
       std::cout << "\n";
     }
-  }
-
-  std::cout << "\nfused chains (" << plan.fusion_groups.size() << "):\n";
-  for (const auto& g : plan.fusion_groups) {
-    std::cout << "  " << g.producer;
-    for (const auto& c : g.consumers) std::cout << " + " << c;
-    std::cout << "\n";
   }
 
   index_t plain = 0;
@@ -266,7 +258,6 @@ int main(int argc, char** argv) {
     plan::PlannerOptions opts;
     opts.threads = threads;
     opts.enable_direct = !flags.GetBool("no-direct");
-    opts.enable_fusion = !flags.GetBool("no-fusion");
     opts.enable_arena = !flags.GetBool("no-arena");
     opts.use_cache = !flags.GetBool("no-cache");
     opts.measure = !flags.GetBool("no-measure");

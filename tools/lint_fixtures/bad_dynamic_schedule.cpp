@@ -5,7 +5,7 @@
 
 void BadDynamicSchedule(float* y, const float* x, std::int64_t n) {
   // EXPECT: static-schedule
-#pragma omp parallel for schedule(dynamic)
+#pragma omp for schedule(dynamic)
   for (std::int64_t i = 0; i < n; ++i) {
     y[i] = x[i] * 2.0f;
   }
@@ -13,7 +13,7 @@ void BadDynamicSchedule(float* y, const float* x, std::int64_t n) {
 
 void BadGuidedSchedule(float* y, const float* x, std::int64_t n) {
   // EXPECT: static-schedule
-#pragma omp parallel for num_threads(4) schedule(guided, 8)
+#pragma omp for schedule(guided, 8)
   for (std::int64_t i = 0; i < n; ++i) {
     y[i] = x[i] + 1.0f;
   }

@@ -5,7 +5,7 @@
 
 void BadMissingSchedule(float* y, const float* x, std::int64_t n) {
   // EXPECT: static-schedule
-#pragma omp parallel for num_threads(4)
+#pragma omp for
   for (std::int64_t i = 0; i < n; ++i) {
     y[i] = x[i] * 0.5f;
   }

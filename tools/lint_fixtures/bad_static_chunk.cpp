@@ -4,25 +4,17 @@
 #include <cstdint>
 
 void BadStaticChunk(float* y, std::int64_t n) {
-#pragma omp parallel num_threads(4)
-  {
-    ThreadRegionScope scope;  // instrumentation idiom present
-    // EXPECT: static-schedule
+  // EXPECT: static-schedule
 #pragma omp for schedule(static, 1)
-    for (std::int64_t i = 0; i < n; ++i) {
-      y[i] = 0.0f;
-    }
+  for (std::int64_t i = 0; i < n; ++i) {
+    y[i] = 0.0f;
   }
 }
 
 void BadStaticChunkFour(float* y, std::int64_t n) {
-#pragma omp parallel num_threads(4)
-  {
-    ThreadRegionScope scope;
-    // EXPECT: static-schedule
+  // EXPECT: static-schedule
 #pragma omp for ordered schedule(static, 4)
-    for (std::int64_t i = 0; i < n; ++i) {
-      y[i] = 0.0f;
-    }
+  for (std::int64_t i = 0; i < n; ++i) {
+    y[i] = 0.0f;
   }
 }

@@ -4,31 +4,25 @@
 Statically enforces the repo's OpenMP rules over src/ — the conventions the
 paper's bit-identity argument rests on (docs/correctness.md):
 
+  region-owner         Only files in a `parallel/` directory
+                       (src/cgdnn/parallel/) open `#pragma omp parallel`
+                       regions. Everything else runs its loops through
+                       parallel::For, which owns the thread count, static
+                       chunking, region instrumentation, write-set
+                       checking, privatization, ordered merge and error
+                       capture. `omp for` / `omp simd` open no region.
   static-schedule      Worksharing loops must carry an explicit
                        schedule(static). schedule(static, 1) is reserved for
                        the ordered merge (requires the `ordered` clause);
                        dynamic/guided/runtime/auto break the deterministic
                        sample->thread mapping and are always errors.
-  instrumented-region  Block-form `#pragma omp parallel` regions must use the
-                       ThreadRegionScope / TRACE_SCOPE instrumentation idiom
-                       (which doubles as the cgdnn-check write-phase hook).
   no-unsafe-calls      No rand()/srand()/time()/clock()/std::random_device/
                        std::mt19937/drand48-family calls inside parallel
-                       constructs: per-thread nondeterminism breaks the
-                       serial-equivalence claim. GlobalRng (serial-side,
-                       checkpointed) is the only sanctioned randomness.
-  nowait-barrier       A `nowait` worksharing loop must be followed by an
-                       explicit `#pragma omp barrier` or a gradient merge
-                       (AccumulatePrivate) before any further statement in
-                       the region; ending the region immediately (implicit
-                       barrier) is also fine.
-  fused-instrumented   A parallel construct that applies a fused elementwise
-                       epilogue (FusedEpilogue::ApplyForward) must keep the
-                       full region discipline: ThreadRegionScope/TRACE_SCOPE
-                       instrumentation AND a write-set RecordWrite covering
-                       the fused writes. Fusion moves another layer's writes
-                       into the producer's loop — they must not escape the
-                       checker or the imbalance accounting.
+                       constructs or in the bodies handed to parallel::For
+                       (and its ForEachElement wrapper): per-thread
+                       nondeterminism breaks the serial-equivalence claim.
+                       GlobalRng (serial-side, checkpointed) is the only
+                       sanctioned randomness.
 
 Suppressions: a comment `// cgdnn-lint: allow(rule[, rule...])` on the pragma
 line or the line directly above it silences those rules for that construct.
@@ -50,11 +44,9 @@ import re
 import sys
 
 RULES = {
+    "region-owner",
     "static-schedule",
-    "instrumented-region",
     "no-unsafe-calls",
-    "nowait-barrier",
-    "fused-instrumented",
 }
 
 PRAGMA_RE = re.compile(r"^\s*#\s*pragma\s+omp\b(?P<clauses>.*)$")
@@ -69,10 +61,10 @@ UNSAFE_CALL_RE = re.compile(
 )
 UNSAFE_TYPE_RE = re.compile(r"\b(random_device|mt19937(?:_64)?|minstd_rand0?)\b")
 SANCTIONED_RNG = "GlobalRng"
-INSTRUMENT_TOKENS = ("ThreadRegionScope", "TRACE_SCOPE")
-MERGE_TOKENS = ("AccumulatePrivate",)
-FUSED_TOKENS = ("ApplyForward",)
-WRITE_RECORD_TOKENS = ("RecordWrite",)
+# Calls whose arguments are loop bodies run on team threads.
+LOOP_CALL_RE = re.compile(
+    r"(?:\bparallel::For|\bForEachElement)\b\s*(?:<[^;{}()]*>)?\s*\(")
+REGION_DIR = "parallel"
 
 
 @dataclasses.dataclass
@@ -212,7 +204,31 @@ class FileLinter:
                 return idx, idx
         return -1, -1
 
+    def paren_extent(self, line_idx: int, col: int) -> str:
+        """Text from the '(' at (line_idx, col) through its matching ')'."""
+        depth = 0
+        out: list[str] = []
+        for idx in range(line_idx, len(self.lines)):
+            line = self.lines[idx]
+            for ch in line[col if idx == line_idx else 0:]:
+                out.append(ch)
+                if ch == "(":
+                    depth += 1
+                elif ch == ")":
+                    depth -= 1
+                    if depth == 0:
+                        return "".join(out)
+            out.append("\n")
+        return "".join(out)
+
     # ---------------------------------------------------------------- rules
+    def check_region_owner(self, p: Pragma) -> None:
+        if "region-owner" in p.allowed or self.path.parent.name == REGION_DIR:
+            return
+        self.report(p.line, "region-owner",
+                    "'#pragma omp parallel' outside parallel/: run the loop "
+                    "through parallel::For")
+
     def check_schedule(self, p: Pragma) -> None:
         if "static-schedule" in p.allowed:
             return
@@ -235,124 +251,43 @@ class FileLinter:
                             f"schedule(static, {chunk}) is only allowed as "
                             "schedule(static, 1) on the ordered merge loop")
 
-    def check_region_body(self, p: Pragma, body: str) -> None:
-        if "instrumented-region" not in p.allowed and not any(
-                tok in body for tok in INSTRUMENT_TOKENS):
-            self.report(p.line, "instrumented-region",
-                        "parallel region without ThreadRegionScope/"
-                        "TRACE_SCOPE instrumentation")
-        self.check_unsafe_calls(p, body)
-        self.check_fused(p, body)
-
-    def check_fused(self, p: Pragma, body: str,
-                    require_instrumentation: bool = True) -> None:
-        """Fused-epilogue application keeps the full region discipline.
-
-        A bare `omp for` inside a block-form region inherits the region's
-        ThreadRegionScope (checked at the region level), so only constructs
-        that start a parallel region demand instrumentation in their own
-        body; the RecordWrite requirement applies everywhere.
-        """
-        if "fused-instrumented" in p.allowed:
-            return
-        if not any(tok in body for tok in FUSED_TOKENS):
-            return
-        if require_instrumentation and not any(
-                tok in body for tok in INSTRUMENT_TOKENS):
-            self.report(p.line, "fused-instrumented",
-                        "fused epilogue applied in a parallel construct "
-                        "without ThreadRegionScope/TRACE_SCOPE "
-                        "instrumentation")
-        if not any(tok in body for tok in WRITE_RECORD_TOKENS):
-            self.report(p.line, "fused-instrumented",
-                        "fused epilogue applied without a write-set "
-                        "RecordWrite: the consumer's in-place writes moved "
-                        "into this loop and must stay visible to the "
-                        "checker")
-
-    def check_unsafe_calls(self, p: Pragma, body: str) -> None:
-        if "no-unsafe-calls" in p.allowed:
+    def check_unsafe_calls(self, line: int, allowed: set[str], body: str,
+                           where: str) -> None:
+        if "no-unsafe-calls" in allowed:
             return
         scrubbed = body.replace(SANCTIONED_RNG, "")
         m = UNSAFE_CALL_RE.search(scrubbed) or UNSAFE_TYPE_RE.search(scrubbed)
         if m:
-            self.report(p.line, "no-unsafe-calls",
-                        f"'{m.group(1)}' inside a parallel construct: "
-                        "per-thread nondeterminism breaks serial "
-                        "equivalence (use GlobalRng from serial code)")
-
-    def check_nowait(self, p: Pragma, loop_end: int, region_end: int) -> None:
-        """Lines (loop_end, region_end) after a nowait loop must start with a
-        barrier or a merge before any other statement."""
-        if "nowait-barrier" in p.allowed:
-            return
-        for idx in range(loop_end + 1, region_end):
-            stripped = self.lines[idx].strip()
-            if not stripped or all(ch in "{}" for ch in stripped):
-                continue
-            m = PRAGMA_RE.match(stripped)
-            if m:
-                if "barrier" in m.group("clauses").split():
-                    return
-                continue  # other pragmas (e.g. a following loop) keep scanning
-            if any(tok in stripped for tok in MERGE_TOKENS):
-                return
-            self.report(p.line, "nowait-barrier",
-                        "statement after a nowait worksharing loop without "
-                        "an intervening '#pragma omp barrier' or gradient "
-                        f"merge (line {idx + 1})")
-            return
+            self.report(line, "no-unsafe-calls",
+                        f"'{m.group(1)}' inside {where}: per-thread "
+                        "nondeterminism breaks serial equivalence (use "
+                        "GlobalRng from serial code)")
 
     # ----------------------------------------------------------------- run
     def run(self) -> list[Finding]:
-        pragmas = self.pragmas()
-        for p in pragmas:
+        for p in self.pragmas():
             words = p.text.split()
             if not words:
                 continue
             is_parallel = words[0] == "parallel"
             is_loop = words[0] == "for" or (is_parallel and len(words) > 1
                                             and words[1] == "for")
+            if is_parallel:
+                self.check_region_owner(p)
             if is_loop:
                 self.check_schedule(p)
-            if is_parallel and not is_loop:
+            if is_parallel or is_loop:
                 open_idx, close_idx = self.match_braces(p.end_line)
                 if open_idx >= 0:
                     body = "\n".join(self.lines[open_idx:close_idx + 1])
-                    self.check_region_body(p, body)
-                    self.scan_nowait_loops(open_idx, close_idx)
-            elif is_loop:
-                open_idx, close_idx = self.match_braces(p.end_line)
-                if open_idx >= 0:
-                    body = "\n".join(self.lines[open_idx:close_idx + 1])
-                    self.check_unsafe_calls(p, body)
-                    # A combined parallel-for cannot host ThreadRegionScope
-                    # (fused work there always needs the block form); a bare
-                    # `omp for` inherits its enclosing region's scope.
-                    self.check_fused(p, body,
-                                     require_instrumentation=is_parallel)
+                    self.check_unsafe_calls(p.line, p.allowed, body,
+                                            "a parallel construct")
+        for idx, line in enumerate(self.lines):
+            for m in LOOP_CALL_RE.finditer(line):
+                body = self.paren_extent(idx, m.end() - 1)
+                self.check_unsafe_calls(idx + 1, self.allow_set(idx), body,
+                                        "a parallel::For body")
         return self.findings
-
-    def scan_nowait_loops(self, region_open: int, region_close: int) -> None:
-        idx = region_open
-        while idx <= region_close:
-            m = PRAGMA_RE.match(self.lines[idx])
-            if m:
-                clauses = m.group("clauses")
-                p_line = idx
-                while clauses.rstrip().endswith("\\") and idx + 1 <= region_close:
-                    clauses = clauses.rstrip()[:-1] + " " + self.lines[idx + 1].strip()
-                    idx += 1
-                words = clauses.split()
-                if words and words[0] == "for" and "nowait" in words:
-                    _, loop_close = self.match_braces(idx + 1)
-                    if loop_close > 0:
-                        self.check_nowait(
-                            Pragma(p_line + 1, idx + 1, " ".join(words),
-                                   self.allow_set(p_line)),
-                            loop_close, region_close)
-                        idx = loop_close
-            idx += 1
 
 
 def lint_paths(paths: list[pathlib.Path]) -> list[Finding]:

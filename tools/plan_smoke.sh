@@ -15,7 +15,6 @@ echo "== plan dump: both evaluation networks =="
 "${PLAN_BIN}" --model=lenet --batch=4 --threads=2 --no-measure \
     --cache-dir="${WORK}/cache" --explain > "${WORK}/lenet.txt"
 grep -q "conv strategies" "${WORK}/lenet.txt"
-grep -q "fused chains" "${WORK}/lenet.txt"
 grep -q "arena:" "${WORK}/lenet.txt"
 "${PLAN_BIN}" --model=cifar10_quick --batch=4 --threads=2 --no-measure \
     --cache-dir="${WORK}/cache" > "${WORK}/cifar.txt"
@@ -29,7 +28,7 @@ if command -v python3 >/dev/null 2>&1; then
 import json, sys
 plan = json.load(open(sys.argv[1]))
 for key in ("net_signature", "batch", "threads", "git_sha",
-            "conv_decisions", "fusion_groups", "intervals"):
+            "conv_decisions", "intervals"):
     assert key in plan, f"plan JSON missing {key!r}"
 assert plan["threads"] == 2
 EOF

@@ -8,8 +8,9 @@
 #                                       clang -Wthread-safety build when
 #                                       clang++ is installed
 #   3. tools/run_clang_tidy.sh        — clang-tidy, if installed
-#   4. sanitize preset (ASan+UBSan)   — parallel-relevant test suites
-#   5. tsan preset (ThreadSanitizer)  — same suites, tsan.supp applied
+#   4. tier-1 at OMP_NUM_THREADS=1 and at $(nproc)
+#   5. sanitize preset (ASan+UBSan)   — parallel-relevant test suites
+#   6. tsan preset (ThreadSanitizer)  — same suites, tsan.supp applied
 #
 # Sanitizer stages build incrementally into build-sanitize/ and build-tsan/.
 # Skippable pieces (no clang-tidy, no TSan support in the toolchain) are
@@ -40,7 +41,7 @@ result() {  # result <name> <status>  (status 0 pass, 77 skip, else fail)
 # merge/privatizer/coalescing unit tests, and the cgdnn-check runtime
 # checker. Anchored names: a bare "Merge" would also pull in the (slow)
 # convergence training runs.
-parallel_tests='ParallelEquivalence|PerLayerThreadSweep|WriteSetCheckerTest|CheckedModels|MergeModes|MergeOrdered\.|MergeTree\.|PrivatizationPool|CoalescedRange|StaticChunk|BlackboxTest|ServeTest|ServeStatsTest|SyncPrimitives'
+parallel_tests='ParallelFor|ParallelEquivalence|PerLayerThreadSweep|WriteSetCheckerTest|CheckedModels|MergeModes|MergeOrdered\.|MergeTree\.|PrivatizationPool|CoalescedRange|StaticChunk|BlackboxTest|ServeTest|ServeStatsTest|SyncPrimitives'
 # TSan runs the unit-level parallel suites plus single-thread model passes.
 # Whole-model multi-thread runs are excluded: TSan-instrumented GEMM inner
 # loops plus libgomp's ordered-section spin wait (which ignores
@@ -58,7 +59,7 @@ parallel_tests='ParallelEquivalence|PerLayerThreadSweep|WriteSetCheckerTest|Chec
 # ServeStatsTest (live-stats exporter) joins the same way: the sliding-
 # window/exemplar/publisher concurrency cases run under TSan, the two
 # model-forward cases (stage telescoping, trace flows) under ASan only.
-tsan_tests='WriteSetCheckerTest|CheckedModels.*threads1$|MergeModes|MergeOrdered\.|MergeTree\.|PrivatizationPool|CoalescedRange|StaticChunk|BlackboxTest|ServeTest\.(QueueIsBounded|ExpiredRequests|CompleteOnce|ServerForwards|AdmissionSheds|DegradationLadder|StalledWorker|DropResponse)|ServeStatsTest\.(SlidingHistogram|SlidingCounter|Exemplars|TailClassifier|SnapshotFile)|SyncPrimitives'
+tsan_tests='ParallelFor|WriteSetCheckerTest|CheckedModels.*threads1$|MergeModes|MergeOrdered\.|MergeTree\.|PrivatizationPool|CoalescedRange|StaticChunk|BlackboxTest|ServeTest\.(QueueIsBounded|ExpiredRequests|CompleteOnce|ServerForwards|AdmissionSheds|DegradationLadder|StalledWorker|DropResponse)|ServeStatsTest\.(SlidingHistogram|SlidingCounter|Exemplars|TailClassifier|SnapshotFile)|SyncPrimitives'
 
 note "lint_parallel"
 python3 tools/lint_parallel.py --self-test && python3 tools/lint_parallel.py
@@ -131,6 +132,18 @@ if [[ -f build/CTestTestfile.cmake ]]; then
   result "blackbox-drills" $?
 else
   result "blackbox-drills" 77
+fi
+
+note "tier-1 at 1 and $(nproc) OpenMP threads"
+# The default thread count follows the host, so tier-1 runs once with one
+# thread and once with one per core: a test that silently assumes either
+# count fails one of the two runs.
+if [[ -f build/CTestTestfile.cmake ]]; then
+  ( cd build && OMP_NUM_THREADS=1 ctest -j "$(nproc)" --output-on-failure && \
+    OMP_NUM_THREADS="$(nproc)" ctest -j "$(nproc)" --output-on-failure )
+  result "tier-1-threads" $?
+else
+  result "tier-1-threads" 77
 fi
 
 run_sanitizer_preset() {  # run_sanitizer_preset <preset> <test-regex>
