@@ -1,4 +1,4 @@
-// Execution-planner A/B bench: what does the cost-model plan actually buy?
+// Execution-planner A/B bench: what does the arena plan actually buy?
 //
 // Two claims are measured per evaluation network and written to
 // BENCH_plan.json (baseline committed under bench/baselines/):
@@ -54,7 +54,6 @@ double MeasureIterationUs(const proto::NetParameter& param, int threads,
   if (planned) {
     plan::PlannerOptions opts;
     opts.threads = threads;
-    opts.use_cache = false;  // hermetic: plan fresh, time only execution
     auto built = plan::BuildPlan(net, opts);
     plan::ApplyPlan(&net, built.plan);
   }
@@ -89,8 +88,6 @@ ArenaNumbers PlanArenaBytes(const proto::NetParameter& param, Phase phase,
   Net<float> net(param, phase);
   plan::PlannerOptions opts;
   opts.threads = threads;
-  opts.use_cache = false;
-  opts.measure = false;  // memory numbers are shape facts, skip the probes
   const auto built = plan::BuildPlan(net, opts);
   return {built.plan.arena.per_plane_bytes, built.plan.arena.total_bytes};
 }
@@ -139,7 +136,7 @@ void BenchModel(const std::string& name, const proto::NetParameter& param,
 }  // namespace
 
 int main() {
-  std::cout << "=== Cost-model execution planner: planned vs plain A/B ===\n\n";
+  std::cout << "=== Execution planner: planned vs plain A/B ===\n\n";
 
   models::ModelOptions mnist_opts;
   mnist_opts.batch_size = 64;

@@ -43,7 +43,6 @@ void BenchRegime(const std::string& model_name,
   serve::ServerOptions sopts;
   sopts.workers = 2;
   sopts.max_batch = 8;
-  sopts.plan_cache = false;  // hermetic: no on-disk state
   serve::Server server(param, sopts);
   const double sustainable = server.CalibrateSustainableQps();
   server.Start();

@@ -18,9 +18,7 @@
 // independent: there are no data-dependent skips anywhere).
 //
 // The pack routines, microkernel, blocking nest and small-path row kernels
-// live in gemm_kernels.hpp so the planner's direct-convolution path can run
-// the very same kernel symbols on implicitly-gathered im2col data (the
-// bit-identity contract between conv strategies).
+// live in gemm_kernels.hpp.
 #include <algorithm>
 
 #include "cgdnn/blas/blas.hpp"
@@ -75,8 +73,7 @@ void PackedGemm(bool trans_a, bool trans_b, index_t m, index_t n, index_t k,
 // value-dependent zero skips), run after ScaleC. Loop orders keep the
 // innermost loop over contiguous C and, when possible, contiguous A/B;
 // K-blocking keeps the NN working set inside L1/L2. The row-level work runs
-// through the shared AxpyRowKernel / DotRowKernel symbols (bit-identity with
-// the direct-conv small path).
+// through the shared AxpyRowKernel / DotRowKernel symbols.
 
 template <typename Dtype>
 void SmallGemmNN(index_t m, index_t n, index_t k, Dtype alpha, const Dtype* a,

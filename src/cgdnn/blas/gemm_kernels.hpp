@@ -1,17 +1,12 @@
-// Shared GEMM kernel primitives (pack routines, microkernel, small-path row
-// kernels) factored out of gemm.cpp so the direct-convolution path can reuse
+// GEMM kernel primitives (pack routines, microkernel, blocking nest,
+// small-path row kernels) behind the gemm/gemv/ger front-ends in gemm.cpp.
+// They live in a header so one translation unit per target ISA can compile
 // them.
 //
-// Bit-identity contract: the planner may switch a conv layer between
-// im2col-GEMM and direct (implicit-im2col) execution, and the two must
-// produce byte-identical outputs. That holds because both paths funnel every
-// floating-point accumulation through the SAME kernel symbols defined here —
-// the packed path through MicroKernel on identically-valued pack buffers,
-// the small path through AxpyRowKernel / DotRowKernel in the same
-// per-element ascending-k order. The reduction-order-sensitive kernels
-// (MicroKernel, DotRowKernel, AxpyRowKernel) are marked noinline: each
-// instantiation is ODR-merged to one out-of-line definition, so the
-// vectorizer cannot specialize the reduction tree differently per call site.
+// The reduction-order-sensitive kernels (MicroKernel, DotRowKernel,
+// AxpyRowKernel) are marked noinline: each instantiation is ODR-merged to
+// one out-of-line definition, so the vectorizer cannot specialize the
+// reduction tree differently per call site.
 #pragma once
 
 #include <algorithm>
@@ -31,18 +26,16 @@ constexpr index_t RoundUpTo(index_t v, index_t to) {
   return (v + to - 1) / to * to;
 }
 
-/// One grow-only pack arena per OS thread, shared by the packed GEMM and the
-/// direct-conv path (defined in gemm.cpp). A single allocation on the
-/// thread's first packed call, then reused across calls, layers and samples.
+/// One grow-only pack arena per OS thread for the packed GEMM (defined in
+/// gemm.cpp). A single allocation on the thread's first packed call, then
+/// reused across calls, layers and samples.
 ThreadArena& PackArena();
 
 /// Small-path K blocking (keeps the NN working set inside L1/L2).
 constexpr index_t kSmallGemmBlockK = 256;
 
 /// m is deliberately not consulted: a row-partitioned call must take the
-/// same branch as the full-batch call (see kGemmPackMinWork). The planner's
-/// direct-conv path consults the same predicate so strategy switches never
-/// change which kernel family runs for a given (n, k).
+/// same branch as the full-batch call (see kGemmPackMinWork).
 template <typename Dtype>
 bool UsePackedPath(index_t n, index_t k) {
   return n >= GemmBlocking<Dtype>::kNR && n * k >= kGemmPackMinWork;
@@ -170,11 +163,7 @@ CGDNN_KERNEL_NOINLINE void MicroKernel(index_t kc, const Dtype* __restrict ap,
 }
 
 /// The jc/pc/ic/jr/ir blocking nest of the packed path, with the two pack
-/// steps supplied by the caller. The GEMM front-end passes PackASlab /
-/// PackBSlab over row-major matrices; the direct-conv path passes packers
-/// that gather op(B) straight from the input image (implicit im2col). Both
-/// produce identically-valued pack buffers, so the MicroKernel sequence —
-/// and therefore every FP operation — is the same.
+/// steps supplied by the caller (PackedGemm passes PackASlab / PackBSlab).
 ///
 /// PackA(i0, p0, mc, kc, dst) packs the op(A) slab (alpha folded in);
 /// PackB(p0, j0, kc, nc, dst) packs the op(B) slab. `packa`/`packb` must
@@ -221,7 +210,7 @@ CGDNN_KERNEL_NOINLINE void AxpyRowKernel(index_t n, Dtype a,
 
 /// sum over x[0..k) * y[0..k). The `omp simd` reduction tree depends on the
 /// vector factor the compiler picks — noinline pins ONE definition per type
-/// so im2col-GEMM and direct conv reduce in exactly the same order.
+/// so every caller reduces in exactly the same order.
 template <typename Dtype>
 CGDNN_KERNEL_NOINLINE Dtype DotRowKernel(index_t k, const Dtype* __restrict x,
                                          const Dtype* __restrict y) {

@@ -101,28 +101,6 @@ void ConvolutionLayer<Dtype>::BindSerialColBuffer(Dtype* slot,
 }
 
 template <typename Dtype>
-blas::ConvGeom ConvolutionLayer<Dtype>::geom() const {
-  blas::ConvGeom g;
-  g.channels = channels_;
-  g.height = height_;
-  g.width = width_;
-  g.kernel_h = kernel_h_;
-  g.kernel_w = kernel_w_;
-  g.pad_h = pad_h_;
-  g.pad_w = pad_w_;
-  g.stride_h = stride_h_;
-  g.stride_w = stride_w_;
-  g.out_h = out_h_;
-  g.out_w = out_w_;
-  return g;
-}
-
-template <typename Dtype>
-bool ConvolutionLayer<Dtype>::DirectSupported() const {
-  return blas::DirectConvSupported(geom(), group_, dilation_);
-}
-
-template <typename Dtype>
 void ConvolutionLayer<Dtype>::Im2ColSample(const Dtype* bottom_data,
                                            Dtype* col) const {
   blas::im2col(bottom_data, channels_, height_, width_, kernel_h_, kernel_w_,
@@ -135,21 +113,14 @@ void ConvolutionLayer<Dtype>::ForwardSample(const Dtype* bottom_data,
                                             Dtype* top_data,
                                             Dtype* col) const {
   const Dtype* weights = this->blobs_[0]->cpu_data();
-  if (forward_strategy_ == ConvStrategy::kDirect) {
-    // Implicit im2col: same kernel symbols, no materialized col (col may be
-    // null). Planner guarantees DirectSupported(), i.e. group_ == 1.
-    blas::DirectConvForward(geom(), num_output_, weights, bottom_data,
-                            top_data);
-  } else {
-    Im2ColSample(bottom_data, col);
-    const index_t out_per_group = num_output_ / group_;
-    for (index_t g = 0; g < group_; ++g) {
-      blas::gemm(blas::Transpose::kNo, blas::Transpose::kNo, out_per_group,
-                 out_spatial_, kernel_dim_, Dtype(1),
-                 weights + g * out_per_group * kernel_dim_,
-                 col + g * kernel_dim_ * out_spatial_, Dtype(0),
-                 top_data + g * out_per_group * out_spatial_);
-    }
+  Im2ColSample(bottom_data, col);
+  const index_t out_per_group = num_output_ / group_;
+  for (index_t g = 0; g < group_; ++g) {
+    blas::gemm(blas::Transpose::kNo, blas::Transpose::kNo, out_per_group,
+               out_spatial_, kernel_dim_, Dtype(1),
+               weights + g * out_per_group * kernel_dim_,
+               col + g * kernel_dim_ * out_spatial_, Dtype(0),
+               top_data + g * out_per_group * out_spatial_);
   }
   if (bias_term_) {
     // top += bias ⊗ ones(out_spatial)
@@ -165,20 +136,15 @@ void ConvolutionLayer<Dtype>::BackwardSampleWeights(const Dtype* bottom_data,
                                                     Dtype* weight_diff,
                                                     Dtype* bias_diff,
                                                     Dtype* col) const {
-  if (backward_weights_strategy_ == ConvStrategy::kDirect) {
-    blas::DirectConvBackwardWeights(geom(), num_output_, top_diff,
-                                    bottom_data, weight_diff);
-  } else {
-    Im2ColSample(bottom_data, col);
-    const index_t out_per_group = num_output_ / group_;
-    for (index_t g = 0; g < group_; ++g) {
-      // dW_g += top_diff_g (out_per_group x spatial) x col_g^T
-      blas::gemm(blas::Transpose::kNo, blas::Transpose::kTrans, out_per_group,
-                 kernel_dim_, out_spatial_, Dtype(1),
-                 top_diff + g * out_per_group * out_spatial_,
-                 col + g * kernel_dim_ * out_spatial_, Dtype(1),
-                 weight_diff + g * out_per_group * kernel_dim_);
-    }
+  Im2ColSample(bottom_data, col);
+  const index_t out_per_group = num_output_ / group_;
+  for (index_t g = 0; g < group_; ++g) {
+    // dW_g += top_diff_g (out_per_group x spatial) x col_g^T
+    blas::gemm(blas::Transpose::kNo, blas::Transpose::kTrans, out_per_group,
+               kernel_dim_, out_spatial_, Dtype(1),
+               top_diff + g * out_per_group * out_spatial_,
+               col + g * kernel_dim_ * out_spatial_, Dtype(1),
+               weight_diff + g * out_per_group * kernel_dim_);
   }
   if (bias_diff != nullptr) {
     blas::gemv(blas::Transpose::kNo, num_output_, out_spatial_, Dtype(1),
@@ -217,13 +183,12 @@ void ConvolutionLayer<Dtype>::Forward_cpu(
     const std::vector<Blob<Dtype>*>& top) {
   const Dtype* bottom_data = bottom[0]->cpu_data();
   Dtype* top_data = top[0]->mutable_cpu_data();
-  const bool need_col = forward_strategy_ != ConvStrategy::kDirect;
   // Batch-level parallelism, no coalescing needed: each sample is a heavy
   // and uniform work unit (im2col + GEMM), and all writes are disjoint.
   parallel::For<Dtype>(
       this->layer_param_.name + ".forward", {num_},
       [&](const parallel::Chunk<Dtype>& c) {
-        Dtype* col = need_col ? ColBuffer(c) : nullptr;
+        Dtype* col = ColBuffer(c);
         for (index_t n = c.begin; n < c.end; ++n) {
           ForwardSample(bottom_data + n * bottom_dim_,
                         top_data + n * top_dim_, col);
@@ -249,9 +214,7 @@ void ConvolutionLayer<Dtype>::Backward_cpu(
   Dtype* bias_diff = do_bias ? this->blobs_[1]->mutable_cpu_diff() : nullptr;
   Dtype* bottom_diff =
       propagate_down[0] ? bottom[0]->mutable_cpu_diff() : nullptr;
-  const bool need_col =
-      (do_weights && backward_weights_strategy_ != ConvStrategy::kDirect) ||
-      bottom_diff != nullptr;
+  const bool need_col = do_weights || bottom_diff != nullptr;
   // Every sample accumulates into every weight, so the weight and bias
   // gradients are privatized per thread and merged (Algorithm 5).
   parallel::For<Dtype>(

@@ -8,16 +8,10 @@
 // merges them with the configured GradientMerge strategy.
 #pragma once
 
-#include "cgdnn/blas/direct_conv.hpp"
 #include "cgdnn/layers/layer.hpp"
 #include "cgdnn/parallel/for.hpp"
 
 namespace cgdnn {
-
-/// Per-phase conv execution strategy, chosen by the planner's cost model.
-/// kIm2colGemm materializes the column matrix; kDirect gathers it
-/// implicitly while packing (blas/direct_conv.hpp). Both are bit-identical.
-enum class ConvStrategy { kIm2colGemm = 0, kDirect = 1 };
 
 template <typename Dtype>
 class ConvolutionLayer : public Layer<Dtype> {
@@ -37,25 +31,8 @@ class ConvolutionLayer : public Layer<Dtype> {
   index_t out_height() const { return out_h_; }
   index_t out_width() const { return out_w_; }
 
-  /// This layer's per-sample geometry for the planner's cost model and the
-  /// direct kernels. Valid after Reshape.
-  blas::ConvGeom geom() const;
-  /// True when the direct (implicit-im2col) kernels cover this layer's
-  /// shape (group == 1, no dilation).
-  bool DirectSupported() const;
-  index_t num_output() const { return num_output_; }
   index_t col_count() const { return col_count_; }
 
-  // Planner hooks: strategies default to kIm2colGemm (the unplanned
-  // behavior); set from serial code only.
-  ConvStrategy forward_strategy() const { return forward_strategy_; }
-  ConvStrategy backward_weights_strategy() const {
-    return backward_weights_strategy_;
-  }
-  void set_forward_strategy(ConvStrategy s) { forward_strategy_ = s; }
-  void set_backward_weights_strategy(ConvStrategy s) {
-    backward_weights_strategy_ = s;
-  }
   /// Points the serial-path column buffer at an arena slot (count >=
   /// col_count()) instead of the layer's private lazily-grown blob; nullptr
   /// reverts to the private buffer.
@@ -101,9 +78,6 @@ class ConvolutionLayer : public Layer<Dtype> {
   index_t kernel_dim_ = 0;      // channels/group * kh * kw
   index_t col_count_ = 0;       // channels * kh * kw * out_spatial
   index_t bottom_dim_ = 0, top_dim_ = 0;
-
-  ConvStrategy forward_strategy_ = ConvStrategy::kIm2colGemm;
-  ConvStrategy backward_weights_strategy_ = ConvStrategy::kIm2colGemm;
 
   Blob<Dtype> col_buffer_;       // serial-path column buffer (lazy)
   Dtype* planned_col_ = nullptr;  // arena slot replacing col_buffer_

@@ -1,11 +1,11 @@
-// Minimal JSON reader/writer helpers for the on-disk plan cache.
+// Minimal JSON reader/writer helpers: JsonEscape for the plan's JSON
+// writer, and the reader cgdnn_stats parses the live serving-stats snapshot
+// with.
 //
-// The repo's observability sinks only ever *write* JSON; the plan cache is
-// the first artifact that must be read back. This is a small recursive-
-// descent parser over the JSON subset our own writer emits (objects,
-// arrays, strings with standard escapes, doubles, bools, null) — not a
-// general-purpose validator. Anything malformed parses to failure and the
-// cache treats it as a miss (plans are always recomputable).
+// The reader is a small recursive-descent parser over the JSON subset the
+// repo's own writers emit (objects, arrays, strings with standard escapes,
+// doubles, bools, null) — not a general-purpose validator. Anything
+// malformed parses to failure.
 #pragma once
 
 #include <map>

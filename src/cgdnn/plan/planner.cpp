@@ -3,13 +3,9 @@
 #include <algorithm>
 #include <cstring>
 #include <set>
-#include <sstream>
 #include <vector>
 
-#include "cgdnn/core/buildinfo.hpp"
 #include "cgdnn/layers/conv_layer.hpp"
-#include "cgdnn/plan/cost_model.hpp"
-#include "cgdnn/plan/plan_cache.hpp"
 #include "cgdnn/profile/timer.hpp"
 #include "cgdnn/trace/metrics.hpp"
 #include "cgdnn/trace/trace.hpp"
@@ -27,56 +23,6 @@ bool IsDataType(const std::string& type) {
 /// rebinding either side would split the alias, so both stay private.
 bool IsSharingType(const std::string& type) {
   return type == "Split" || type == "Flatten" || type == "Reshape";
-}
-
-}  // namespace
-
-template <typename Dtype>
-std::string NetSignature(const Net<Dtype>& net) {
-  std::ostringstream os;
-  os << net.name() << "|"
-     << (net.phase() == Phase::kTrain ? "train" : "test") << "|"
-     << sizeof(Dtype);
-  const auto& layers = net.layers();
-  for (std::size_t li = 0; li < layers.size(); ++li) {
-    os << "|" << net.layer_names()[li] << ":" << layers[li]->type();
-    for (const std::size_t ti : net.top_id_vecs()[li]) {
-      os << ":";
-      const auto& shape = net.blobs()[ti]->shape();
-      for (std::size_t a = 0; a < shape.size(); ++a) {
-        os << (a ? "x" : "") << shape[a];
-      }
-    }
-  }
-  return os.str();
-}
-
-namespace {
-
-template <typename Dtype>
-void PlanConvStrategies(const Net<Dtype>& net, const PlannerOptions& opts,
-                        const perfctr::MachinePeak& peak,
-                        ExecutionPlan* plan) {
-  const auto& layers = net.layers();
-  for (std::size_t li = 0; li < layers.size(); ++li) {
-    auto* conv = dynamic_cast<ConvolutionLayer<Dtype>*>(layers[li].get());
-    if (conv == nullptr || !conv->DirectSupported()) continue;
-    ConvDecision d;
-    d.layer = net.layer_names()[li];
-    ConvCost cost;
-    const bool direct = ChooseDirectForward<Dtype>(
-        conv->geom(), conv->num_output(), peak, opts.measure, &cost);
-    d.im2col_us = cost.im2col_us;
-    d.direct_us = cost.direct_us;
-    d.measured_im2col_us = cost.measured_im2col_us;
-    d.measured_direct_us = cost.measured_direct_us;
-    d.forward_direct = direct;
-    // The backward-weights kernel gathers the same columns against the same
-    // GEMM loop, so the forward decision transfers (backward-bottom always
-    // stays materialized: it WRITES the col matrix).
-    d.backward_weights_direct = direct;
-    plan->conv_decisions.push_back(std::move(d));
-  }
 }
 
 template <typename Dtype>
@@ -193,39 +139,11 @@ BuildResult BuildPlan(const Net<Dtype>& net, const PlannerOptions& opts) {
   profile::Timer timer;
   BuildResult result;
   ExecutionPlan& plan = result.plan;
-  plan.net_signature = NetSignature(net);
   plan.batch = net.blobs().empty() || net.blobs()[0]->num_axes() == 0
                    ? 0
                    : net.blobs()[0]->shape(0);
   plan.threads = opts.threads;
-  plan.git_sha = buildinfo::Get().git_sha;
-
-  const std::string cache_dir = PlanCacheDir(opts.cache_dir);
-  if (opts.use_cache) {
-    PlanCacheKey key{plan.net_signature, plan.batch, plan.threads,
-                     plan.git_sha};
-    ExecutionPlan cached;
-    if (LoadCachedPlan(key, cache_dir, &cached)) {
-      result.plan = std::move(cached);
-      result.cache_hit = true;
-      result.build_us = timer.MicroSeconds();
-      return result;
-    }
-  }
-
-  // Cold build: probe the machine, then decide. The probes (and the
-  // measured kernel timings inside PlanConvStrategies) are what the warm
-  // path skips — the cold/warm gap the cache tests assert on.
-  if (opts.enable_direct) {
-    const perfctr::MachinePeak peak =
-        perfctr::MeasureMachinePeak(opts.threads);
-    plan.gflops = peak.gflops;
-    plan.mem_gbps = peak.mem_gbps;
-    PlanConvStrategies(net, opts, peak, &plan);
-  }
-  if (opts.enable_arena) PlanArena(net, &plan);
-
-  if (opts.use_cache) StorePlan(plan, cache_dir);
+  PlanArena(net, &plan);
   result.build_us = timer.MicroSeconds();
   return result;
 }
@@ -244,21 +162,6 @@ template <typename Dtype>
 void ApplyPlan(Net<Dtype>* net, const ExecutionPlan& plan) {
   const std::uint64_t start_ns = trace::NowNs();
   auto state = std::make_shared<PlanState>();
-
-  // ---- conv strategies ----
-  index_t direct_convs = 0;
-  for (const ConvDecision& d : plan.conv_decisions) {
-    CGDNN_CHECK(net->has_layer(d.layer)) << "planned conv missing: " << d.layer;
-    auto* conv = dynamic_cast<ConvolutionLayer<Dtype>*>(
-        net->layer_by_name(d.layer).get());
-    CGDNN_CHECK(conv != nullptr) << d.layer << " is not a Convolution layer";
-    conv->set_forward_strategy(d.forward_direct ? ConvStrategy::kDirect
-                                                : ConvStrategy::kIm2colGemm);
-    conv->set_backward_weights_strategy(d.backward_weights_direct
-                                            ? ConvStrategy::kDirect
-                                            : ConvStrategy::kIm2colGemm);
-    direct_convs += d.forward_direct ? 1 : 0;
-  }
 
   // ---- arena binding ----
   if (plan.arena.total_bytes > 0 && !plan.arena.intervals.empty()) {
@@ -300,7 +203,7 @@ void ApplyPlan(Net<Dtype>* net, const ExecutionPlan& plan) {
 
   net->AttachPlanState(std::shared_ptr<void>(state));
 
-  // ---- observability: decisions as metrics + one trace span ----
+  // ---- observability: the arena summary as metrics + one trace span ----
   auto& metrics = trace::MetricsRegistry::Default();
   metrics.GetGauge("plan.arena_bytes")
       .Set(static_cast<double>(plan.arena.total_bytes));
@@ -308,12 +211,10 @@ void ApplyPlan(Net<Dtype>* net, const ExecutionPlan& plan) {
       .Set(static_cast<double>(plan.arena.per_plane_bytes));
   metrics.GetGauge("plan.col_slot_bytes")
       .Set(static_cast<double>(plan.col_slot_bytes));
-  metrics.GetGauge("plan.direct_convs").Set(static_cast<double>(direct_convs));
   trace::Tracer::Get().Emit(
       "plan", net->name() + ".apply", start_ns, trace::NowNs(),
       {{"arena_bytes", static_cast<double>(plan.arena.total_bytes)},
-       {"per_plane_bytes", static_cast<double>(plan.arena.per_plane_bytes)},
-       {"direct_convs", static_cast<double>(direct_convs)}});
+       {"per_plane_bytes", static_cast<double>(plan.arena.per_plane_bytes)}});
 }
 
 template <typename Dtype>
@@ -323,8 +224,6 @@ BuildResult PlanAndApply(Net<Dtype>* net, const PlannerOptions& opts) {
   return result;
 }
 
-template std::string NetSignature<float>(const Net<float>&);
-template std::string NetSignature<double>(const Net<double>&);
 template BuildResult BuildPlan<float>(const Net<float>&,
                                       const PlannerOptions&);
 template BuildResult BuildPlan<double>(const Net<double>&,

@@ -106,14 +106,7 @@ InferenceEngine::InferenceEngine(const proto::NetParameter& param,
 
 void InferenceEngine::MaybePlan(Net<float>* net) const {
   if (!opts_.planned) return;
-  plan::PlannerOptions popts;
-  popts.threads = opts_.plan_threads;
-  popts.use_cache = opts_.plan_cache;
-  popts.cache_dir = opts_.plan_cache_dir;
-  // No measurement probes at serve startup: the cost model alone keeps
-  // construction fast and deterministic across workers.
-  popts.measure = false;
-  plan::PlanAndApply(net, popts);
+  plan::PlanAndApply(net, plan::PlannerOptions{});
 }
 
 const proto::NetParameter& InferenceEngine::deploy_param(

@@ -23,7 +23,6 @@
 #pragma once
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "cgdnn/layers/data_layers.hpp"
@@ -44,12 +43,9 @@ class InferenceEngine {
  public:
   struct Options {
     index_t max_batch = 8;
-    /// Run the execution planner over every bucket net (kernel selection,
-    /// activation arenas) at the serving batch sizes.
+    /// Run the execution planner over every bucket net (activation
+    /// arenas) at the serving batch sizes.
     bool planned = true;
-    bool plan_cache = true;       ///< consult/populate the on-disk plan cache
-    int plan_threads = 1;         ///< thread count the plans target
-    std::string plan_cache_dir;   ///< override; empty = default resolution
   };
 
   /// Builds the deploy form of `param` and the master net (owner of the one

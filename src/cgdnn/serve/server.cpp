@@ -214,12 +214,6 @@ Server::Server(const proto::NetParameter& model, const ServerOptions& opts)
   InferenceEngine::Options eopts;
   eopts.max_batch = opts.max_batch;
   eopts.planned = opts.planned;
-  eopts.plan_cache = opts.plan_cache;
-  eopts.plan_cache_dir = opts.plan_cache_dir;
-  {
-    const parallel::Parallel::Scope pinned(WorkerConfig(opts.workers));
-    eopts.plan_threads = parallel::Parallel::ResolveThreads();
-  }
   impl_->engine = std::make_unique<InferenceEngine>(model, eopts);
   impl_->queue = std::make_unique<BoundedRequestQueue>(opts.queue_capacity);
   impl_->stats_exporter = std::make_unique<StatsExporter>(opts.stats);

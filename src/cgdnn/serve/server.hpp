@@ -41,7 +41,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 
 #include "cgdnn/proto/params.hpp"
 #include "cgdnn/serve/engine.hpp"
@@ -59,10 +58,9 @@ struct ServerOptions {
   /// Deadline stamped on requests that arrive without one. 0 = none.
   std::uint64_t default_deadline_ms = 50;
 
-  // Planner (PR-7) at the serving batch sizes.
+  // Planner (activation arenas) at the serving batch sizes.
   bool planned = true;
-  bool plan_cache = true;
-  std::string plan_cache_dir;
+  bool plan_cache = true;  ///< unread; goes with the next benchmark change
 
   // Degradation ladder: queue-fill watermarks in [0,1].
   double degrade_fill = 0.5;  ///< level 1 trip point

@@ -217,14 +217,14 @@ INSTANTIATE_TEST_SUITE_P(ThreadCounts, PerLayerThreadSweep,
                            return name;
                          });
 
-// ---- planned execution: cost-model plan vs plain execution ----------------
+// ---- planned execution: arena plan vs plain execution ----------------------
 //
-// The planner's every decision (direct conv kernels, arena-rebound
-// activations) claims bit-identity with the unplanned net. These sweeps
-// enforce the claim at every thread count and merge mode, with the
-// write-set checker armed so every region proves its write discipline. Arena planes whose slot is legitimately reused later in the
-// timeline hold garbage after the iteration; the plan's `preserved` flags
-// say exactly which — everything else must match bit-for-bit.
+// Arena-rebound activations claim bit-identity with the unplanned net. These
+// sweeps enforce the claim at every thread count and merge mode, with the
+// write-set checker armed so every region proves its write discipline. Arena
+// planes whose slot is legitimately reused later in the timeline hold
+// garbage after the iteration; the plan's `preserved` flags say exactly
+// which — everything else must match bit-for-bit.
 
 struct PlannedRun {
   NetState state;
@@ -246,16 +246,7 @@ PlannedRun RunOncePlanned(const proto::NetParameter& param, int threads,
   Net<float> net(param, Phase::kTrain);
   plan::PlannerOptions opts;
   opts.threads = threads;
-  opts.use_cache = false;  // decisions under test, not the cache
-  opts.measure = false;
   auto built = plan::BuildPlan(net, opts);
-  // Force the direct kernels everywhere they are legal: the cost model may
-  // or may not pick them on this host, but bit-identity must hold either
-  // way, so the sweep pins the more adventurous choice.
-  for (auto& d : built.plan.conv_decisions) {
-    d.forward_direct = true;
-    d.backward_weights_direct = true;
-  }
   plan::ApplyPlan(&net, built.plan);
   net.ClearParamDiffs();
   net.ForwardBackward();
@@ -327,7 +318,9 @@ TEST_P(PlannedThreadSweep, CifarPlannedBitIdenticalToUnplanned) {
   std::vector<std::string> names;
   const auto ref = RunOnce(param, GetParam(), merge, &names);
   const auto planned = RunOncePlanned(param, GetParam(), merge);
-  EXPECT_FALSE(planned.plan.conv_decisions.empty());
+  EXPECT_GT(planned.plan.arena.total_bytes, 0);
+  EXPECT_LT(planned.plan.arena.total_bytes,
+            planned.plan.arena.per_plane_bytes);
   ExpectPlannedBitIdentical(ref, planned, names);
 }
 

@@ -1,210 +1,23 @@
-// Planner unit tests: direct-conv bit-identity with the im2col-GEMM path,
-// the analytic cost model, the interval-coloring arena allocator, and the
-// on-disk plan cache (round-trip, git_sha/thread invalidation, warm-hit
-// speedup).
+// Planner unit tests: the interval-coloring arena allocator, the JSON reader,
+// and plan determinism (a plan is a pure function of the net).
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstring>
-#include <filesystem>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "cgdnn/blas/blas.hpp"
-#include "cgdnn/blas/direct_conv.hpp"
-#include "cgdnn/blas/im2col.hpp"
 #include "cgdnn/core/rng.hpp"
 #include "cgdnn/data/dataset.hpp"
-#include "cgdnn/data/io.hpp"
 #include "cgdnn/net/models.hpp"
 #include "cgdnn/net/net.hpp"
 #include "cgdnn/plan/arena_plan.hpp"
-#include "cgdnn/plan/cost_model.hpp"
 #include "cgdnn/plan/json_lite.hpp"
-#include "cgdnn/plan/plan_cache.hpp"
 #include "cgdnn/plan/planner.hpp"
-#include "temp_path.hpp"
 
 namespace cgdnn {
 namespace {
-
-// ---- direct conv vs materialized im2col + GEMM -----------------------------
-
-struct ConvCase {
-  blas::ConvGeom g;
-  index_t num_output;
-};
-
-ConvCase MakeCase(index_t c, index_t hw, index_t k, index_t pad,
-                  index_t stride, index_t num_output) {
-  blas::ConvGeom g;
-  g.channels = c;
-  g.height = g.width = hw;
-  g.kernel_h = g.kernel_w = k;
-  g.pad_h = g.pad_w = pad;
-  g.stride_h = g.stride_w = stride;
-  g.out_h = blas::ConvOutSize(hw, k, pad, stride, 1);
-  g.out_w = g.out_h;
-  return {g, num_output};
-}
-
-// Shapes straddling the packed/small-path boundary, both evaluation nets'
-// convs, a 1x1, strided and padded variants.
-std::vector<ConvCase> DirectConvCases() {
-  return {
-      MakeCase(1, 28, 5, 0, 1, 20),   // lenet conv1
-      MakeCase(20, 12, 5, 0, 1, 50),  // lenet conv2
-      MakeCase(3, 32, 5, 2, 1, 32),   // cifar conv1 (small channels, pad)
-      MakeCase(32, 16, 5, 2, 1, 32),  // cifar conv2
-      MakeCase(32, 8, 5, 2, 1, 64),   // cifar conv3
-      MakeCase(8, 14, 1, 0, 1, 16),   // 1x1 conv
-      MakeCase(4, 9, 3, 1, 2, 6),     // strided, small path
-      MakeCase(2, 5, 3, 0, 1, 3),     // tiny, small path
-  };
-}
-
-template <typename Dtype>
-void FillPattern(Dtype* p, index_t n, unsigned seed) {
-  std::mt19937 rng(seed);
-  std::uniform_real_distribution<double> dist(-1.0, 1.0);
-  for (index_t i = 0; i < n; ++i) p[i] = static_cast<Dtype>(dist(rng));
-}
-
-template <typename Dtype>
-void ExpectBitEqual(const std::vector<Dtype>& a, const std::vector<Dtype>& b,
-                    const char* what, index_t case_idx) {
-  ASSERT_EQ(a.size(), b.size());
-  EXPECT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * sizeof(Dtype)))
-      << what << " differs from im2col+GEMM reference, case " << case_idx;
-}
-
-template <typename Dtype>
-void RunDirectConvForwardCase(const ConvCase& cc, index_t case_idx) {
-  const auto& g = cc.g;
-  const index_t m = cc.num_output, n = g.out_spatial(), k = g.kernel_dim();
-  std::vector<Dtype> image(static_cast<std::size_t>(g.bottom_dim()));
-  std::vector<Dtype> weights(static_cast<std::size_t>(m * k));
-  FillPattern(image.data(), g.bottom_dim(), 7 + static_cast<unsigned>(case_idx));
-  FillPattern(weights.data(), m * k, 31 + static_cast<unsigned>(case_idx));
-
-  std::vector<Dtype> col(static_cast<std::size_t>(k * n));
-  std::vector<Dtype> ref(static_cast<std::size_t>(m * n), Dtype(42));
-  blas::im2col(image.data(), g.channels, g.height, g.width, g.kernel_h,
-               g.kernel_w, g.pad_h, g.pad_w, g.stride_h, g.stride_w,
-               index_t{1}, index_t{1}, col.data());
-  blas::gemm(blas::Transpose::kNo, blas::Transpose::kNo, m, n, k, Dtype(1),
-             weights.data(), col.data(), Dtype(0), ref.data());
-
-  std::vector<Dtype> got(static_cast<std::size_t>(m * n), Dtype(-42));
-  blas::DirectConvForward(g, m, weights.data(), image.data(), got.data());
-  ExpectBitEqual(ref, got, "direct forward", case_idx);
-}
-
-template <typename Dtype>
-void RunDirectConvBackwardWeightsCase(const ConvCase& cc, index_t case_idx) {
-  const auto& g = cc.g;
-  const index_t m = cc.num_output, n = g.kernel_dim(), k = g.out_spatial();
-  std::vector<Dtype> image(static_cast<std::size_t>(g.bottom_dim()));
-  std::vector<Dtype> top_diff(static_cast<std::size_t>(m * k));
-  FillPattern(image.data(), g.bottom_dim(), 3 + static_cast<unsigned>(case_idx));
-  FillPattern(top_diff.data(), m * k, 11 + static_cast<unsigned>(case_idx));
-  // Nonzero starting gradient: beta = 1 accumulation must match too.
-  std::vector<Dtype> ref(static_cast<std::size_t>(m * n));
-  FillPattern(ref.data(), m * n, 17);
-  std::vector<Dtype> got = ref;
-
-  std::vector<Dtype> col(static_cast<std::size_t>(n * k));
-  blas::im2col(image.data(), g.channels, g.height, g.width, g.kernel_h,
-               g.kernel_w, g.pad_h, g.pad_w, g.stride_h, g.stride_w,
-               index_t{1}, index_t{1}, col.data());
-  blas::gemm(blas::Transpose::kNo, blas::Transpose::kTrans, m, n, k, Dtype(1),
-             top_diff.data(), col.data(), Dtype(1), ref.data());
-
-  blas::DirectConvBackwardWeights(g, m, top_diff.data(), image.data(),
-                                  got.data());
-  ExpectBitEqual(ref, got, "direct backward-weights", case_idx);
-}
-
-TEST(DirectConv, ForwardBitIdenticalToIm2colGemmFloat) {
-  const auto cases = DirectConvCases();
-  for (std::size_t i = 0; i < cases.size(); ++i) {
-    RunDirectConvForwardCase<float>(cases[i], static_cast<index_t>(i));
-  }
-}
-
-TEST(DirectConv, ForwardBitIdenticalToIm2colGemmDouble) {
-  const auto cases = DirectConvCases();
-  for (std::size_t i = 0; i < cases.size(); ++i) {
-    RunDirectConvForwardCase<double>(cases[i], static_cast<index_t>(i));
-  }
-}
-
-TEST(DirectConv, BackwardWeightsBitIdenticalToIm2colGemmFloat) {
-  const auto cases = DirectConvCases();
-  for (std::size_t i = 0; i < cases.size(); ++i) {
-    RunDirectConvBackwardWeightsCase<float>(cases[i],
-                                            static_cast<index_t>(i));
-  }
-}
-
-TEST(DirectConv, BackwardWeightsBitIdenticalToIm2colGemmDouble) {
-  const auto cases = DirectConvCases();
-  for (std::size_t i = 0; i < cases.size(); ++i) {
-    RunDirectConvBackwardWeightsCase<double>(cases[i],
-                                             static_cast<index_t>(i));
-  }
-}
-
-TEST(DirectConv, SupportPredicate) {
-  const auto g = MakeCase(3, 32, 5, 2, 1, 32).g;
-  EXPECT_TRUE(blas::DirectConvSupported(g, 1, 1));
-  EXPECT_FALSE(blas::DirectConvSupported(g, 2, 1));  // grouped
-  EXPECT_FALSE(blas::DirectConvSupported(g, 1, 2));  // dilated
-}
-
-// ---- analytic + measured cost model ----------------------------------------
-
-TEST(CostModel, ForwardFlopsFormula) {
-  const auto cc = MakeCase(20, 12, 5, 0, 1, 50);
-  const double flops = plan::ConvForwardFlops(cc.g, cc.num_output);
-  EXPECT_DOUBLE_EQ(flops, 2.0 * 50 * (20 * 5 * 5) * (8 * 8));
-}
-
-TEST(CostModel, AnalyticCostsArePositiveAndColTrafficMatters) {
-  perfctr::MachinePeak peak;
-  peak.threads = 1;
-  peak.gflops = 50;
-  peak.mem_gbps = 10;
-  const auto cc = MakeCase(3, 32, 5, 2, 1, 32);
-  const double im2col =
-      plan::AnalyticConvForwardUs(cc.g, cc.num_output, false, 4, peak);
-  const double direct =
-      plan::AnalyticConvForwardUs(cc.g, cc.num_output, true, 4, peak);
-  EXPECT_GT(im2col, 0);
-  EXPECT_GT(direct, 0);
-  // On a strongly bandwidth-limited machine model, skipping the
-  // materialized col write+read must make direct cheaper.
-  peak.gflops = 1000;
-  peak.mem_gbps = 1;
-  EXPECT_LT(
-      plan::AnalyticConvForwardUs(cc.g, cc.num_output, true, 4, peak),
-      plan::AnalyticConvForwardUs(cc.g, cc.num_output, false, 4, peak));
-}
-
-TEST(CostModel, MeasuredRefinementDrivesTheDecision) {
-  perfctr::MachinePeak peak;
-  peak.threads = 1;
-  peak.gflops = 20;
-  peak.mem_gbps = 8;
-  const auto cc = MakeCase(20, 12, 5, 0, 1, 50);
-  plan::ConvCost cost;
-  const bool direct = plan::ChooseDirectForward<float>(
-      cc.g, cc.num_output, peak, /*measure=*/true, &cost);
-  ASSERT_GE(cost.measured_im2col_us, 0);
-  ASSERT_GE(cost.measured_direct_us, 0);
-  EXPECT_EQ(direct, cost.measured_direct_us < cost.measured_im2col_us);
-}
 
 // ---- interval-coloring arena allocator -------------------------------------
 
@@ -350,117 +163,34 @@ TEST(JsonLite, MalformedInputsFail) {
   EXPECT_FALSE(plan::JsonValue::Parse("", &v));
 }
 
-// ---- plan serialization + on-disk cache ------------------------------------
+// ---- plan determinism -------------------------------------------------------
 
-plan::ExecutionPlan MakePlanFixture() {
-  plan::ExecutionPlan p;
-  p.net_signature = "lenet|train|4|data:Data:7x1x28x28";
-  p.batch = 7;
-  p.threads = 8;
-  p.git_sha = "abc1234";
-  p.gflops = 42.5;
-  p.mem_gbps = 11.25;
-  p.col_slot_bytes = 8192;
-  plan::ConvDecision d;
-  d.layer = "conv1";
-  d.forward_direct = true;
-  d.backward_weights_direct = true;
-  d.im2col_us = 10.5;
-  d.direct_us = 7.25;
-  d.measured_im2col_us = 9.5;
-  d.measured_direct_us = 6.75;
-  p.conv_decisions.push_back(d);
-  std::vector<plan::LifetimeInterval> ivs(2);
-  ivs[0].name = "conv1";
-  ivs[0].kind = plan::SlotKind::kData;
-  ivs[0].blob_id = 2;
-  ivs[0].start = 1;
-  ivs[0].end = 8;
-  ivs[0].bytes = 40960;
-  ivs[1].name = "conv1";
-  ivs[1].kind = plan::SlotKind::kDiff;
-  ivs[1].blob_id = 2;
-  ivs[1].start = 6;
-  ivs[1].end = 8;
-  ivs[1].bytes = 40960;
-  p.arena = plan::PlanArenaOffsets(std::move(ivs));
-  return p;
-}
-
-TEST(PlanJson, RoundTripsLosslessly) {
-  const auto p = MakePlanFixture();
-  plan::ExecutionPlan q;
-  ASSERT_TRUE(plan::ExecutionPlan::FromJson(p.ToJson(), &q));
-  EXPECT_EQ(p.ToJson(), q.ToJson());
-  EXPECT_EQ(q.threads, 8);
-  ASSERT_EQ(q.conv_decisions.size(), 1u);
-  EXPECT_TRUE(q.conv_decisions[0].forward_direct);
-  ASSERT_EQ(q.arena.intervals.size(), 2u);
-  EXPECT_EQ(q.arena.intervals[1].kind, plan::SlotKind::kDiff);
-  EXPECT_EQ(q.arena.total_bytes, p.arena.total_bytes);
-}
-
-TEST(PlanJson, RejectsMalformedPlans) {
-  plan::ExecutionPlan q;
-  EXPECT_FALSE(plan::ExecutionPlan::FromJson("not json", &q));
-  EXPECT_FALSE(plan::ExecutionPlan::FromJson("{}", &q));  // missing key fields
-}
-
-TEST(PlanCache, RoundTripAndKeyInvalidation) {
-  const std::string dir = testing::UniqueTempPath("cgdnn_plan_cache_test");
-  std::filesystem::remove_all(dir);  // stale entries from a prior run
-  const auto p = MakePlanFixture();
-  plan::StorePlan(p, dir);
-
-  plan::PlanCacheKey key{p.net_signature, p.batch, p.threads, p.git_sha};
-  plan::ExecutionPlan loaded;
-  ASSERT_TRUE(plan::LoadCachedPlan(key, dir, &loaded));
-  EXPECT_EQ(loaded.ToJson(), p.ToJson());
-
-  auto stale = key;
-  stale.git_sha = "fffffff";  // rebuilt binary: measurements are stale
-  EXPECT_FALSE(plan::LoadCachedPlan(stale, dir, &loaded));
-  auto other_threads = key;
-  other_threads.threads = 3;
-  EXPECT_FALSE(plan::LoadCachedPlan(other_threads, dir, &loaded));
-  auto other_batch = key;
-  other_batch.batch = 64;
-  EXPECT_FALSE(plan::LoadCachedPlan(other_batch, dir, &loaded));
-
-  // A torn/corrupt file degrades to a miss, never a wrong plan.
-  data::WriteFileAtomic(plan::PlanCachePath(key, dir), "{\"garbage\": tru");
-  EXPECT_FALSE(plan::LoadCachedPlan(key, dir, &loaded));
-  std::filesystem::remove_all(dir);
-}
-
-TEST(PlanCache, WarmHitSkipsMeasurementAndIsFaster) {
-  const std::string dir = testing::UniqueTempPath("cgdnn_plan_warm_test");
-  std::filesystem::remove_all(dir);  // a prior run's cache would fake a hit
+// Two plans of one net must serialize byte for byte alike: the planner reads
+// only layers and shapes, never the clock or the machine.
+TEST(PlanDeterminism, SameNetGivesByteIdenticalJson) {
   models::ModelOptions o;
-  o.batch_size = 4;
-  o.num_samples = 8;
+  o.batch_size = 8;
+  o.num_samples = 16;
   o.with_accuracy = false;
-  SeedGlobalRng(1234);
-  data::ClearDatasetCache();
-  Net<float> net(models::LeNet(o), Phase::kTrain);
-
-  plan::PlannerOptions opts;
-  opts.threads = 2;
-  opts.cache_dir = dir;
-  opts.measure = true;
-  const auto cold = plan::BuildPlan(net, opts);
-  EXPECT_FALSE(cold.cache_hit);
-  const auto warm = plan::BuildPlan(net, opts);
-  EXPECT_TRUE(warm.cache_hit);
-  EXPECT_EQ(warm.plan.ToJson(), cold.plan.ToJson());
-  // The warm path skips the machine-peak probes and the per-shape kernel
-  // timings; anything less than a 2x gap means it re-measured.
-  EXPECT_LT(warm.build_us, cold.build_us / 2);
-
-  // A different thread count is a different plan: cold again.
-  opts.threads = 4;
-  EXPECT_FALSE(plan::BuildPlan(net, opts).cache_hit);
-  std::filesystem::remove_all(dir);
+  const std::vector<std::pair<std::string, proto::NetParameter>> nets = {
+      {"lenet", models::LeNet(o)}, {"cifar10_quick", models::Cifar10Quick(o)}};
+  for (const auto& [name, param] : nets) {
+    for (const Phase phase : {Phase::kTrain, Phase::kTest}) {
+      for (const int threads : {1, 4}) {
+        SCOPED_TRACE(name + (phase == Phase::kTrain ? " train" : " test") +
+                     " threads=" + std::to_string(threads));
+        SeedGlobalRng(1234);
+        data::ClearDatasetCache();
+        const Net<float> net(param, phase);
+        plan::PlannerOptions opts;
+        opts.threads = threads;
+        const auto first = plan::BuildPlan(net, opts);
+        const auto second = plan::BuildPlan(net, opts);
+        EXPECT_GT(first.plan.arena.total_bytes, 0);
+        EXPECT_EQ(first.plan.ToJson(), second.plan.ToJson());
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -74,8 +74,6 @@ TEST(ServeTest, BatchingIsBitIdenticalAcrossThreadCounts) {
     data::ClearDatasetCache();
     serve::InferenceEngine::Options opts;
     opts.max_batch = 5;  // buckets 1, 2, 4, 5
-    opts.plan_cache = false;
-    opts.plan_threads = threads;
     serve::InferenceEngine engine(param, opts);
     auto worker = engine.MakeWorker();
 
@@ -230,7 +228,6 @@ TEST(ServeTest, ServerForwardsAndDrainsGracefully) {
   opts.max_batch = 4;
   opts.batch_deadline_us = 500;
   opts.default_deadline_ms = 10'000;
-  opts.plan_cache = false;
   serve::Server server(SmallLeNet(), opts);
   server.Start();
 

@@ -21,9 +21,9 @@
 // with tools/compare_bench.py (exits 1 on >10% efficiency regression).
 //
 // --planned adds an A/B pass: at every swept thread count the same model is
-// re-run under the cost-model execution plan (src/cgdnn/plan) and plain,
-// measured wall-clock on identical fresh nets, and the report gains a
-// "planned" section with both times and the planned-over-plain speedup.
+// re-run under the execution plan's activation arena (src/cgdnn/plan) and
+// plain, measured wall-clock on identical fresh nets, and the report gains
+// a "planned" section with both times and the planned-over-plain speedup.
 //
 // --serve audits the serving runtime (src/cgdnn/serve) instead of a layer
 // at a time: for each worker count in --serve-workers it calibrates the
@@ -185,6 +185,13 @@ void WriteThreadMap(std::ostream& os, const std::vector<int>& threads,
 int main(int argc, char** argv) {
   try {
     const tools::Flags flags(argc, argv);
+    flags.CheckKnown(
+        {{"model", "threads", "iterations", "warmup", "merge", "no-coalesce",
+          "audit-out", "no-counters", "probe-gemm-dim", "probe-triad-elems",
+          "planned", "serve", "serve-workers", "serve-rate-factor",
+          "serve-duration-s", "serve-max-batch"},
+         tools::kBlackboxFlags},
+        kUsage);
     const std::string model = flags.Require("model", kUsage);
     const std::vector<int> threads =
         ParseThreadList(flags.GetString("threads", "1,2,4"));
@@ -347,8 +354,6 @@ int main(int argc, char** argv) {
         Net<float> planned_net(tools::ResolveModel(model), Phase::kTrain);
         plan::PlannerOptions popts;
         popts.threads = t;
-        popts.use_cache = !flags.GetBool("no-cache");
-        popts.cache_dir = flags.GetString("cache-dir");
         plan::PlanAndApply(&planned_net, popts);
         planned_wall_us[t] = measure_wall(planned_net);
 
@@ -391,7 +396,6 @@ int main(int argc, char** argv) {
         serve::ServerOptions sopts;
         sopts.workers = w;
         sopts.max_batch = flags.GetInt("serve-max-batch", 8);
-        sopts.plan_cache = false;  // hermetic: no on-disk state
         serve::Server server(tools::ResolveModel(model), sopts);
         const double sustainable = server.CalibrateSustainableQps();
         server.Start();

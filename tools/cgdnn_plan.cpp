@@ -2,16 +2,14 @@
 //
 //   cgdnn_plan --model=<file|lenet|cifar10_quick> [--batch=N] [--threads=N]
 //              [--phase=train|test] [--merge=MODE] [--explain] [--json[=file]]
-//              [--validate] [--inject-bad-plan] [--cache-dir=DIR]
-//              [--no-cache] [--no-measure] [--no-direct] [--no-arena]
+//              [--validate] [--inject-bad-plan]
 //
-// Builds the cost-model execution plan for one (model, batch, threads)
-// configuration and shows what the planner decided: per-conv kernel
-// strategy with the analytic/measured evidence, and the arena layout with
-// per-slot offsets and lifetime steps.
+// Builds the execution plan for one (model, batch, threads) configuration
+// and shows the activation arena layout the planner chose, with per-slot
+// offsets and lifetime steps under --explain.
 //
-// --json prints the exact cache-file serialization (or writes it to the
-// given path). --validate is the end-to-end bit-identity gate: it runs the
+// --json prints the plan's JSON serialization (or writes it to the given
+// path). --validate is the end-to-end bit-identity gate: it runs the
 // same seeded iteration twice — once plain, once under the plan — and
 // compares every activation, diff, and parameter gradient, masking only
 // arena planes whose slot is legitimately reused later in the timeline
@@ -32,7 +30,6 @@
 #include "cgdnn/core/rng.hpp"
 #include "cgdnn/data/dataset.hpp"
 #include "cgdnn/net/net.hpp"
-#include "cgdnn/plan/plan_cache.hpp"
 #include "cgdnn/plan/planner.hpp"
 #include "flags.hpp"
 
@@ -43,20 +40,31 @@ using namespace cgdnn;
 constexpr const char* kUsage =
     "cgdnn_plan --model=<file|lenet|cifar10_quick> [--batch=N] [--threads=N] "
     "[--phase=train|test] [--merge=MODE] [--explain] [--json[=file]] "
-    "[--validate] [--inject-bad-plan] [--cache-dir=DIR] [--no-cache] "
-    "[--no-measure] [--no-direct] [--no-arena]";
+    "[--validate] [--inject-bad-plan]";
 
-/// Builtin models get the requested batch; prototxt files keep their own.
+/// Builtin models get the requested batch, over a synthetic set of at least
+/// one batch; prototxt files keep their own.
 proto::NetParameter ResolvePlanModel(const std::string& model, index_t batch) {
   models::ModelOptions o;
   o.batch_size = batch;
-  o.num_samples = 32;
   o.with_accuracy = false;
-  if (model == "lenet") return models::LeNet(o);
-  if (model == "cifar10_quick" || model == "cifar10") {
-    return models::Cifar10Quick(o);
+  proto::NetParameter param;
+  if (model == "lenet") {
+    param = models::LeNet(o);
+  } else if (model == "cifar10_quick" || model == "cifar10") {
+    param = models::Cifar10Quick(o);
+  } else {
+    return proto::NetParameter::FromFile(model);
   }
-  return proto::NetParameter::FromFile(model);
+  // Sized from the built layer: Cifar10Quick turns the default batch of 64
+  // into Caffe's 100.
+  for (auto& layer : param.layer) {
+    if (layer.type == "Data") {
+      layer.data_param.num_samples =
+          std::max<index_t>(layer.data_param.batch_size, 32);
+    }
+  }
+  return param;
 }
 
 const char* SlotKindName(plan::SlotKind kind) {
@@ -71,31 +79,7 @@ const char* SlotKindName(plan::SlotKind kind) {
 void PrintPlan(const plan::ExecutionPlan& plan, bool explain) {
   std::cout << std::fixed << std::setprecision(2);
   std::cout << "plan for batch=" << plan.batch << " threads=" << plan.threads
-            << " sha=" << plan.git_sha << "\n";
-  if (plan.gflops > 0) {
-    std::cout << "machine model: " << plan.gflops << " GFLOP/s, "
-              << plan.mem_gbps << " GB/s\n";
-  }
-
-  std::cout << "\nconv strategies (" << plan.conv_decisions.size() << "):\n";
-  for (const auto& d : plan.conv_decisions) {
-    std::cout << "  " << std::setw(12) << std::left << d.layer << std::right
-              << "  forward=" << (d.forward_direct ? "direct" : "im2col")
-              << "  bwd-weights="
-              << (d.backward_weights_direct ? "direct" : "im2col") << "\n";
-    if (explain) {
-      std::cout << "    analytic: im2col=" << d.im2col_us
-                << "us direct=" << d.direct_us << "us";
-      if (d.measured_im2col_us >= 0 || d.measured_direct_us >= 0) {
-        std::cout << "  measured: im2col=" << d.measured_im2col_us
-                  << "us direct=" << d.measured_direct_us << "us";
-      }
-      std::cout << "\n";
-    }
-  }
-
-  index_t plain = 0;
-  for (const auto& iv : plan.arena.intervals) plain += iv.bytes;
+            << "\n";
   std::cout << "\narena: " << plan.arena.total_bytes << " bytes for "
             << plan.arena.intervals.size() << " planes ("
             << plan.arena.per_plane_bytes << " bytes unplanned";
@@ -239,6 +223,10 @@ bool InjectBadPlan(plan::ExecutionPlan* plan) {
 int main(int argc, char** argv) {
   try {
     const tools::Flags flags(argc, argv);
+    flags.CheckKnown({{"model", "batch", "phase", "explain", "json",
+                       "validate", "inject-bad-plan"},
+                      tools::kParallelFlags},
+                     kUsage);
     const std::string model = flags.Require("model", kUsage);
     const index_t batch = flags.GetInt("batch", 8);
     const int threads = static_cast<int>(flags.GetInt("threads", 1));
@@ -257,11 +245,6 @@ int main(int argc, char** argv) {
 
     plan::PlannerOptions opts;
     opts.threads = threads;
-    opts.enable_direct = !flags.GetBool("no-direct");
-    opts.enable_arena = !flags.GetBool("no-arena");
-    opts.use_cache = !flags.GetBool("no-cache");
-    opts.measure = !flags.GetBool("no-measure");
-    opts.cache_dir = flags.GetString("cache-dir");
 
     // Plan against a throwaway net so --validate's runs both start from
     // fresh, identically seeded construction.
@@ -273,8 +256,7 @@ int main(int argc, char** argv) {
       built = plan::BuildPlan(net, opts);
     }
     std::cerr << "plan built in " << std::fixed << std::setprecision(0)
-              << built.build_us << "us ("
-              << (built.cache_hit ? "cache hit" : "cold") << ")\n"
+              << built.build_us << "us\n"
               << std::defaultfloat;
 
     bool injected = false;

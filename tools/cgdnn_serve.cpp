@@ -124,6 +124,17 @@ int main(int argc, char** argv) {
   using namespace cgdnn;
   try {
     const tools::Flags flags(argc, argv);
+    flags.CheckKnown(
+        {{"model", "seed", "workers", "max-batch", "batch-deadline-us",
+          "queue-capacity", "deadline-ms", "hang-deadline-ms", "no-plan",
+          "weights", "rate", "duration-s", "trace", "timeout-ms", "retries",
+          "backoff-base-ms", "backoff-cap-ms", "batch-fraction",
+          "request-deadline-ms", "json-out", "stats-out", "stats-exposition",
+          "stats-history", "stats-period-ms", "stats-window-s",
+          "stats-exemplars"},
+         tools::kParallelFlags, tools::kBlackboxFlags,
+         tools::kObservabilityFlags},
+        kUsage);
     const std::string model = flags.Require("model", kUsage);
     tools::ConfigureParallel(flags);
     tools::ConfigureBlackbox(flags);
@@ -141,7 +152,6 @@ int main(int argc, char** argv) {
     sopts.hang_deadline_ms =
         static_cast<std::uint64_t>(flags.GetInt("hang-deadline-ms", 1000));
     sopts.planned = !flags.GetBool("no-plan");
-    sopts.plan_cache_dir = flags.GetString("plan-cache-dir");
     sopts.stats.snapshot_path = flags.GetString("stats-out");
     sopts.stats.exposition_path = flags.GetString("stats-exposition");
     sopts.stats.history_path = flags.GetString("stats-history");

@@ -1,9 +1,11 @@
 // Minimal --key=value flag parsing shared by the command-line tools.
 #pragma once
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <functional>
+#include <initializer_list>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -69,10 +71,35 @@ class Flags {
     return GetString(key);
   }
 
+  /// Prints usage and exits 2 on any --flag not named in one of `known`
+  /// (the tool's own names plus the shared lists below it uses).
+  void CheckKnown(std::initializer_list<std::vector<std::string>> known,
+                  const std::string& usage) const {
+    for (const auto& entry : values_) {
+      const std::string& key = entry.first;
+      const bool ok =
+          std::any_of(known.begin(), known.end(), [&](const auto& names) {
+            return std::find(names.begin(), names.end(), key) != names.end();
+          });
+      if (!ok) {
+        std::cerr << "unknown flag --" << key << "\nusage: " << usage << "\n";
+        std::exit(2);
+      }
+    }
+  }
+
  private:
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
 };
+
+/// The flags each shared helper below reads, for Flags::CheckKnown.
+inline const std::vector<std::string> kParallelFlags = {"threads", "merge",
+                                                        "no-coalesce"};
+inline const std::vector<std::string> kBlackboxFlags = {
+    "blackbox", "watchdog-sec", "blackbox-dump"};
+inline const std::vector<std::string> kObservabilityFlags = {
+    "trace-out", "metrics-out", "telemetry-out", "counters"};
 
 /// Applies the common --threads / --merge / --no-coalesce flags to the
 /// global parallel configuration.

@@ -16,14 +16,13 @@ WORK=$(mktemp -d)
 trap 'rm -rf "${WORK}"' EXIT
 
 echo "== clean plan must validate =="
-"${PLAN_BIN}" --model=cifar10_quick --batch=6 --threads=4 --no-measure \
-    --no-cache --validate > "${WORK}/clean.out"
+"${PLAN_BIN}" --model=cifar10_quick --batch=6 --threads=4 --validate \
+    > "${WORK}/clean.out"
 grep -q "validation OK" "${WORK}/clean.out"
 
 echo "== injected slot collision must be caught =="
-if "${PLAN_BIN}" --model=cifar10_quick --batch=6 --threads=4 --no-measure \
-        --no-cache --validate --inject-bad-plan \
-        > "${WORK}/bad.out" 2> "${WORK}/bad.err"; then
+if "${PLAN_BIN}" --model=cifar10_quick --batch=6 --threads=4 --validate \
+        --inject-bad-plan > "${WORK}/bad.out" 2> "${WORK}/bad.err"; then
     echo "ERROR: --validate accepted an injected bad plan"
     cat "${WORK}/bad.out" "${WORK}/bad.err"
     exit 1
